@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: prob, conditional, confirmations, table, simulate, curve.
-Exit codes: 0 success, 1 statistical-check failure, 2 domain error,
-3 I/O error.
+Exit codes: 0 success, 1 statistical-check failure, 2 domain error
+(bad input such as a non-positive grid step, or a value the library
+cannot converge on), 3 I/O error.  A bad grid step is rejected before
+--out is opened.
 """
 
 import argparse
@@ -11,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from . import asymptotics, race, sim
+from . import asymptotics, race, sim, specfun
 
 __all__ = ["ProbTable", "main", "build_parser"]
 
@@ -166,6 +168,8 @@ def cmd_table(args):
 
 
 def _frange(start, stop, step):
+    if not step > 0.0:
+        raise ValueError(f"grid step must be positive, got {step}")
     n = int(round((stop - start) / step))
     return [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-12]
 
@@ -207,11 +211,12 @@ def cmd_curve(args):
         )
         return 2
     splits = {z: _split(args.q) for z in args.z}
+    kappas = _frange(args.kappa_min, args.kappa_max, args.kappa_step)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["z", "kappa", "probability"])
         for z in args.z:
-            for kappa in _frange(args.kappa_min, args.kappa_max, args.kappa_step):
+            for kappa in kappas:
                 value = race.conditional_probability(splits[z], z, kappa)
                 writer.writerow([z, f"{kappa:.6g}", f"{value:.7f}"])
     return 0
@@ -304,7 +309,7 @@ def main(argv=None):
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except sim.ConditioningError as exc:
+    except (sim.ConditioningError, specfun.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,16 +1,16 @@
 """Seeded Monte-Carlo simulator of the double-spend race.
 
 Independent oracle for the analytic probabilities: the race up to the
-z-th honest block is sampled exactly (exponential inter-block times,
-Poisson attacker production), then the residual catch-up race is either
-resolved analytically by one Bernoulli draw ("hybrid" mode) or walked
-step by step until the attacker erases the deficit or falls deficit_cap
-blocks behind ("full_walk" mode).
+z-th honest block is sampled exactly (Gamma race time, Poisson attacker
+production), then the residual catch-up race is either resolved
+analytically by one Bernoulli draw ("hybrid" mode) or walked in runs
+until the attacker erases the deficit or falls deficit_cap blocks behind
+("full_walk" mode).
 
-Reproducibility contract: trials are processed in fixed-size batches and
-batch b draws from a Philox stream seeded by SeedSequence(seed,
-spawn_key=(b,)).  Results are therefore bit-identical for a given
-(seed, config) no matter how the batches would be scheduled.
+Reproducibility contract, stream version 2: batch b of a run draws from a
+Philox stream seeded by SeedSequence(seed, spawn_key=(b,)), so results are
+bit-identical for a given (seed, config).  v2 draws one Gamma variate per
+race and one geometric variate per walk round; v1 streams are not reproduced.
 """
 
 import math
@@ -29,9 +29,11 @@ __all__ = [
     "estimate_success",
     "estimate_negbin",
     "BATCH",
+    "STREAM_VERSION",
 ]
 
 BATCH = 1 << 14
+STREAM_VERSION = 2
 MIN_RETAINED = 1000
 
 _MODES = ("hybrid", "full_walk")
@@ -79,38 +81,50 @@ class SimResult:
     mean_attacker_blocks: float
 
 
-def _batch_rng(seed, index):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
+def _batches(config):
+    """Yield (n, rng) per batch of config.trials: its size and its Philox stream."""
+    for index, done in enumerate(range(0, config.trials, BATCH)):
+        ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
+        yield min(BATCH, config.trials - done), np.random.Generator(np.random.Philox(ss))
+
+
+def _race(split, net, z, rng, n):
+    """Race to the z-th honest block; returns (kappa_observed, attacker_blocks)."""
+    s_z = rng.gamma(z, 1.0 / net.alpha, size=n)  # a sum of z Exp(alpha) times
+    return split.p * s_z / (z * net.tau0), rng.poisson(net.alpha_prime * s_z)
+
+
+def _walk(q, deficit, deficit_cap, rng):
+    """Gambler's-ruin catch-up; True where the attacker erases the deficit.
+
+    The deficit falls by one w.p. q per step, else rises by one; after each
+    step, the first included, it is absorbed at <= 0 (win) or >= deficit_cap
+    (loss).  A round draws G ~ Geometric(q): G - 1 steps up, then one down.
+    """
+    x, idx = deficit, np.arange(deficit.size)
+    won = np.zeros(deficit.size, dtype=bool)
+    while idx.size:
+        g = rng.geometric(q, size=idx.size)
+        x = x + g - 2
+        lost = x + (g > 1) >= deficit_cap  # after a step up, x + 1 was reached
+        won[idx[~lost & (x <= 0)]] = True
+        going = ~lost & (x > 0)
+        idx, x = idx[going], x[going]
+    return won
 
 
 def _run_batch(split, net, z, mode, deficit_cap, rng, n):
     """Simulate n races; returns (kappa_observed, attacker_blocks, success)."""
-    # time to the z-th honest block: sum of z exponential(alpha) variates
-    s_z = rng.exponential(1.0 / net.alpha, size=(n, z)).sum(axis=1)
-    kappa_obs = split.p * s_z / (z * net.tau0)
-    blocks = rng.poisson(net.alpha_prime * s_z)
-    caught = blocks >= z
-    success = caught.copy()
-    behind = np.nonzero(~caught)[0]
-    deficit = (z - blocks[behind]).astype(np.int64)
+    kappa_obs, blocks = _race(split, net, z, rng, n)
+    success = blocks >= z
+    behind = np.nonzero(~success)[0]
+    deficit = z - blocks[behind]
     if mode == "hybrid":
         # resolve the residual race analytically: win prob (q/p)^deficit
         u = rng.random(behind.size)
         success[behind] = u < np.exp(deficit * math.log(split.lam))
     else:
-        won = np.zeros(behind.size, dtype=bool)
-        active = np.ones(behind.size, dtype=bool)
-        while active.any():
-            idx = np.nonzero(active)[0]
-            step_back = rng.random(idx.size) < split.q
-            deficit[idx] = np.where(step_back, deficit[idx] - 1, deficit[idx] + 1)
-            # catching up means erasing the deficit: (q/p)^n semantics
-            caught_up = deficit[idx] <= 0
-            capped = deficit[idx] >= deficit_cap
-            won[idx[caught_up]] = True
-            active[idx[caught_up | capped]] = False
-        success[behind] = won
+        success[behind] = _walk(split.q, deficit, deficit_cap, rng)
     return kappa_obs, blocks, success
 
 
@@ -143,11 +157,7 @@ def estimate_success(
     retained = 0
     sum_kappa = 0.0
     sum_blocks = 0.0
-    done = 0
-    batch_index = 0
-    while done < config.trials:
-        n = min(BATCH, config.trials - done)
-        rng = _batch_rng(config.seed, batch_index)
+    for n, rng in _batches(config):
         kappa_obs, blocks, success = _run_batch(
             split, net, config.z, config.mode, config.deficit_cap, rng, n
         )
@@ -162,8 +172,6 @@ def estimate_success(
             retained += n
             sum_kappa += float(kappa_obs.sum())
             sum_blocks += float(blocks.sum())
-        done += n
-        batch_index += 1
     if conditioning and retained < MIN_RETAINED:
         raise ConditioningError(
             f"only {retained} of {config.trials} trials fell within "
@@ -189,20 +197,12 @@ def estimate_negbin(split: HashSplit, z: int, config: SimConfig) -> np.ndarray:
     """
     net = NetworkParams.for_split(split, tau0=1.0)
     counts = np.zeros(z + 31, dtype=np.int64)
-    done = 0
-    batch_index = 0
-    while done < config.trials:
-        n = min(BATCH, config.trials - done)
-        rng = _batch_rng(config.seed, batch_index)
-        _, blocks, _ = _run_batch(
-            split, net, z, config.mode, config.deficit_cap, rng, n
-        )
+    for n, rng in _batches(config):
+        _, blocks = _race(split, net, z, rng, n)
         batch_counts = np.bincount(blocks, minlength=counts.size)
         if batch_counts.size > counts.size:
             counts = np.concatenate(
                 [counts, np.zeros(batch_counts.size - counts.size, dtype=np.int64)]
             )
         counts[: batch_counts.size] += batch_counts
-        done += n
-        batch_index += 1
     return counts

@@ -73,6 +73,12 @@ class TestConditional:
         assert "kappa=1.0000" in out
         assert "0.0002428" in out
 
+    def test_convergence_failure_is_domain_error(self, capsys):
+        code = main(["conditional", "--q", "0.1", "--z", "1000000", "--kappa", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_published_high_kappa_cell(self, capsys):
         assert main(["conditional", "--q", "0.26", "--z", "6", "--kappa", "3.5"]) == 0
         assert "(79.66%)" in capsys.readouterr().out
@@ -169,6 +175,12 @@ class TestTable:
         )
         assert float(rows[3][3]) == pytest.approx(expected, abs=1e-7)
 
+    def test_custom_rejects_zero_step(self, tmp_path):
+        out = tmp_path / "c.csv"
+        code = main(["table", "--which", "custom", "--out", str(out), "--q-step", "0"])
+        assert code == 2
+        assert not out.exists()
+
     def test_unwritable_path_is_io_error(self, capsys):
         code = main(
             ["table", "--which", "z0", "--out", "/nonexistent-dir/x.csv"]
@@ -229,6 +241,18 @@ class TestCurve:
         assert code == 0
         rows = read_csv(out)
         assert {r[0] for r in rows[1:]} == {"3", "6"}
+
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_rejects_step_before_opening_out(self, tmp_path, capsys, step):
+        out = tmp_path / "curve.csv"
+        out.write_text("keep\n")
+        code = main(
+            ["curve", "--q", "0.1", "--z", "6",
+             "--kappa-step", step, "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "keep\n"
 
     def test_rejects_kappa_range(self, capsys):
         code = main(

@@ -2,6 +2,7 @@
 determinism, and conditioning behaviour."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,67 @@ class TestEstimateSuccess:
                 net_for(0.1),
                 SimConfig(trials=100_000, seed=0, z=6, kappa=6.0),
             )
+
+    def test_hybrid_deep_race(self):
+        q, z = 0.45, 539
+        s = split(q)
+        result = estimate_success(
+            s, net_for(q), SimConfig(trials=100_000, seed=539, z=z)
+        )
+        exact = race.attacker_success_closed(s, z)
+        assert abs(result.p_hat - exact) <= 5.0 * math.sqrt(
+            exact * (1.0 - exact) / result.trials
+        )
+
+    def test_batch_memory_does_not_scale_with_z(self):
+        # an (n, z) race-time matrix would need about 650 MB here
+        tracemalloc.start()
+        try:
+            estimate_success(
+                split(0.45), net_for(0.45), SimConfig(trials=sim.BATCH, seed=1, z=5000)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+WALK_CAP = 5
+
+
+def ruin_win_probability(q, d, cap):
+    """Gambler's ruin: chance the deficit hits 0 before cap, starting from d."""
+    lam = q / (1.0 - q)
+    return (lam**d - lam**cap) / (1.0 - lam**cap)
+
+
+class TestCatchUpWalk:
+    TRIALS = 200_000
+
+    def walk(self, q, d, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        deficit = np.full(self.TRIALS, d, dtype=np.int64)
+        return sim._walk(q, deficit, WALK_CAP, rng)
+
+    @pytest.mark.parametrize("d", [1, 3, WALK_CAP - 1])
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.45])
+    def test_matches_gamblers_ruin(self, q, d):
+        won = self.walk(q, d, seed=100 + d)
+        exact = ruin_win_probability(q, d, WALK_CAP)
+        sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
+        assert abs(won.mean() - exact) <= 5.0 * sigma
+
+    def test_first_step_down_from_cap_continues(self):
+        # from d = cap only a first step down keeps the walk alive, at cap - 1
+        q = 0.45
+        won = self.walk(q, WALK_CAP, seed=7)
+        exact = q * ruin_win_probability(q, WALK_CAP - 1, WALK_CAP)
+        sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
+        assert abs(won.mean() - exact) <= 5.0 * sigma
+
+    @pytest.mark.parametrize("d", [WALK_CAP + 1, WALK_CAP + 2])
+    def test_beyond_cap_always_loses(self, d):
+        assert not self.walk(0.45, d, seed=8).any()
 
 
 class TestEstimateNegbin:
