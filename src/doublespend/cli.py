@@ -4,7 +4,8 @@ Subcommands: prob, conditional, confirmations, table, simulate, curve.
 Exit codes: 0 success, 1 statistical-check failure, 2 domain error
 (bad input such as a non-positive grid step, or a value the library
 cannot converge on), 3 I/O error.  A bad grid step is rejected before
---out is opened.
+--out is opened, and ``curve`` computes every row before it opens --out,
+so an error leaves an existing file untouched.
 """
 
 import argparse
@@ -210,15 +211,17 @@ def cmd_curve(args):
             file=sys.stderr,
         )
         return 2
-    splits = {z: _split(args.q) for z in args.z}
+    split = _split(args.q)
     kappas = _frange(args.kappa_min, args.kappa_max, args.kappa_step)
+    rows = [
+        [z, f"{kappa:.6g}", f"{race.conditional_probability(split, z, kappa):.7f}"]
+        for z in args.z
+        for kappa in kappas
+    ]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["z", "kappa", "probability"])
-        for z in args.z:
-            for kappa in kappas:
-                value = race.conditional_probability(splits[z], z, kappa)
-                writer.writerow([z, f"{kappa:.6g}", f"{value:.7f}"])
+        writer.writerows(rows)
     return 0
 
 

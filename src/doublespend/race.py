@@ -16,13 +16,12 @@ Conventions used throughout:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from scipy.integrate import quad
 
 from . import specfun
-from .specfun import DEFAULT_TOL
 
 __all__ = [
     "HashSplit",
@@ -52,40 +51,48 @@ MAX_SUM_Z = 200
 MAX_CONFIRMATIONS = 10_000_000
 
 
+def _check_share(q):
+    if not 0.0 < q <= 0.5:
+        raise ValueError(f"attacker share q must satisfy 0 < q <= 0.5, got q={q}")
+
+
+def _check_count(name, n, least):
+    """Reject a count that is not an integer (bools included) or is below ``least``."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+
+
+def _check_positive(name, x):
+    """Reject a value that is not a positive finite number (nan included)."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+
+
 @dataclass(frozen=True)
 class HashSplit:
     """Attacker/honest hash-power split with its derived quantities.
 
-    q: attacker fraction, p = 1 - q, lam = q/p, s = 4pq.  Construct via
-    :meth:`from_attacker_share`; the constructor cross-checks that all
-    four fields are mutually consistent.
+    q: attacker fraction; p = 1 - q, lam = q/p and s = 4pq are derived
+    from it at construction.
     """
 
     q: float
-    p: float
-    lam: float
-    s: float
+    p: float = field(init=False)
+    lam: float = field(init=False)
+    s: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.q <= 0.5:
-            raise ValueError(
-                f"attacker share q must satisfy 0 < q <= 0.5, got q={self.q}"
-            )
-        if abs(self.p - (1.0 - self.q)) > 1e-15:
-            raise ValueError(f"inconsistent split: p={self.p} != 1 - q for q={self.q}")
-        if abs(self.lam - self.q / self.p) > 1e-15 * max(1.0, self.lam):
-            raise ValueError(f"inconsistent split: lam={self.lam} != q/p")
-        if abs(self.s - 4.0 * self.p * self.q) > 1e-15 * max(1.0, self.s):
-            raise ValueError(f"inconsistent split: s={self.s} != 4pq")
+        _check_share(self.q)
+        p = 1.0 - self.q
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "lam", self.q / p)
+        object.__setattr__(self, "s", 4.0 * p * self.q)
 
     @classmethod
     def from_attacker_share(cls, q: float) -> "HashSplit":
-        if not 0.0 < q <= 0.5:
-            raise ValueError(
-                f"attacker share q must satisfy 0 < q <= 0.5, got q={q}"
-            )
-        p = 1.0 - q
-        return cls(q=q, p=p, lam=q / p, s=4.0 * p * q)
+        return cls(q)
 
 
 @dataclass(frozen=True)
@@ -93,32 +100,27 @@ class NetworkParams:
     """Network timing: mean block interval tau0 and the per-group rates.
 
     alpha = p/tau0 and alpha_prime = q/tau0 are the honest and attacker
-    block rates; t0 = tau0/p is the honest-only mean interval.
+    block rates; t0 = tau0/p is the honest-only mean interval.  All three
+    are derived from tau0 and the attacker share q at construction.
     """
 
     tau0: float
-    alpha: float
-    alpha_prime: float
-    t0: float
+    q: float
+    alpha: float = field(init=False)
+    alpha_prime: float = field(init=False)
+    t0: float = field(init=False)
 
     def __post_init__(self):
-        if self.tau0 <= 0.0:
-            raise ValueError(f"tau0 must be positive, got {self.tau0}")
-        if abs((self.alpha + self.alpha_prime) * self.tau0 - 1.0) > 1e-12:
-            raise ValueError("rates must satisfy alpha + alpha_prime = 1/tau0")
-        if abs(self.t0 * self.alpha - 1.0) > 1e-12:
-            raise ValueError("t0 must equal 1/alpha")
+        _check_positive("tau0", self.tau0)
+        _check_share(self.q)
+        p = 1.0 - self.q
+        object.__setattr__(self, "alpha", p / self.tau0)
+        object.__setattr__(self, "alpha_prime", self.q / self.tau0)
+        object.__setattr__(self, "t0", self.tau0 / p)
 
     @classmethod
     def for_split(cls, split: HashSplit, tau0: float = 10.0) -> "NetworkParams":
-        if tau0 <= 0.0:
-            raise ValueError(f"tau0 must be positive, got {tau0}")
-        return cls(
-            tau0=tau0,
-            alpha=split.p / tau0,
-            alpha_prime=split.q / tau0,
-            t0=tau0 / split.p,
-        )
+        return cls(tau0=tau0, q=split.q)
 
 
 @dataclass(frozen=True)
@@ -132,12 +134,11 @@ class RaceQuery:
     tau1: Optional[float] = None
 
     def __post_init__(self):
-        if self.z < 0:
-            raise ValueError(f"z must be nonnegative, got {self.z}")
-        if self.kappa is not None and self.kappa <= 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.tau1 is not None and self.tau1 <= 0.0:
-            raise ValueError(f"tau1 must be positive, got {self.tau1}")
+        _check_count("z", self.z, 0)
+        if self.kappa is not None:
+            _check_positive("kappa", self.kappa)
+        if self.tau1 is not None:
+            _check_positive("tau1", self.tau1)
 
     def resolved_kappa(self, net: NetworkParams, split: HashSplit) -> Optional[float]:
         """kappa implied by the query; observed time is the ground truth."""
@@ -161,8 +162,7 @@ def _logaddexp(a, b):
 
 def catchup_probability(split: HashSplit, n: int) -> float:
     """Probability (q/p)^n that an attacker n blocks behind ever leads."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_count("n", n, 0)
     if n == 0 or split.q == 0.5:
         return 1.0
     return math.exp(n * math.log(split.lam))
@@ -171,10 +171,8 @@ def catchup_probability(split: HashSplit, n: int) -> float:
 def negbin_pmf(split: HashSplit, n: int, k: int) -> float:
     """P[attacker mined k blocks while honest miners mined their n-th],
     the negative binomial pmf p^n q^k C(k+n-1, k)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    _check_count("n", n, 1)
+    _check_count("k", k, 0)
     return math.exp(
         n * math.log(split.p)
         + k * math.log(split.q)
@@ -190,8 +188,7 @@ def attacker_success_sum(split: HashSplit, z: int) -> float:
     evaluated with expm1 so nothing cancels.  Only valid up to
     MAX_SUM_Z; the closed form is authoritative above that.
     """
-    if z < 0:
-        raise ValueError(f"z must be nonnegative, got {z}")
+    _check_count("z", z, 0)
     if z == 0:
         return 1.0
     if z > MAX_SUM_Z:
@@ -214,8 +211,7 @@ def attacker_success_sum(split: HashSplit, z: int) -> float:
 
 def attacker_success_closed(split: HashSplit, z: int) -> float:
     """Exact success probability in closed form, I_s(z, 1/2) with s=4pq."""
-    if z < 0:
-        raise ValueError(f"z must be nonnegative, got {z}")
+    _check_count("z", z, 0)
     if z == 0:
         return 1.0
     return specfun.reg_inc_beta(split.s, z, 0.5)
@@ -227,28 +223,27 @@ def _log_success_closed(split, z):
 
 def nakamoto_probability(split: HashSplit, z: int) -> float:
     """Nakamoto's approximation: the attacker block count over the whole
-    race is taken Poisson with mean z q/p instead of negative binomial."""
-    if z < 0:
-        raise ValueError(f"z must be nonnegative, got {z}")
-    if z == 0 or split.q == 0.5:
+    race is taken Poisson with mean z q/p instead of negative binomial.
+    This is the conditional probability on schedule, P(z, kappa=1)."""
+    _check_count("z", z, 0)
+    if z == 0:
         return 1.0
-    lam_pois = z * split.lam
-    llam = math.log(lam_pois)
-    lr = math.log(split.lam)  # < 0
-    terms = []
-    for k in range(z):
-        log_pois = k * llam - lam_pois - specfun.log_gamma(k + 1.0)
-        # 1 - (q/p)^(z-k) without cancellation
-        terms.append(-math.exp(log_pois) * math.expm1((z - k) * lr))
-    return specfun._clamp01(1.0 - math.fsum(terms))
+    return conditional_probability(split, z, 1.0)
+
+
+def _log_conditional(split, z, kappa):
+    # ln[ P(z, kappa z lam) + lam^z e^{kappa z (1-lam)} Q(z, kappa z) ];
+    # the tail is summed in log space because e^{kappa z (1-lam)} overflows
+    # where Q(z, kappa z) underflows
+    lam = split.lam
+    x = kappa * z
+    head = specfun.log_reg_lower_gamma_p(z, x * lam)
+    tail = z * math.log(lam) + x * (1.0 - lam) + specfun.log_reg_upper_gamma_q(z, x)
+    return _logaddexp(head, tail)
 
 
 def _log_nakamoto(split, z):
-    # P_SN(z) = P_lower(z, z q/p) + (q/p)^z e^{z(1-q/p)} Q(z, z), both positive
-    lam = split.lam
-    a = specfun.log_reg_lower_gamma_p(z, z * lam)
-    b = z * math.log(lam) + z * (1.0 - lam) + specfun.log_reg_upper_gamma_q(z, float(z))
-    return _logaddexp(a, b)
+    return _log_conditional(split, z, 1.0)
 
 
 def conditional_probability(split: HashSplit, z: int, kappa: float) -> float:
@@ -257,32 +252,18 @@ def conditional_probability(split: HashSplit, z: int, kappa: float) -> float:
 
         P(z, kappa) = 1 - Q(z, kappa z q/p)
                       + (q/p)^z e^{kappa z (p-q)/p} Q(z, kappa z)
-
-    The second product is assembled in log space so large kappa*z cannot
-    overflow the intermediate exponential.
     """
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_count("z", z, 1)
+    _check_positive("kappa", kappa)
     if split.q == 0.5:
         return 1.0
-    lam = split.lam
-    head = math.exp(specfun.log_reg_lower_gamma_p(z, kappa * z * lam))
-    log_tail = (
-        z * math.log(lam)
-        + kappa * z * (1.0 - lam)
-        + specfun.log_reg_upper_gamma_q(z, kappa * z)
-    )
-    return specfun._clamp01(head + math.exp(log_tail))
+    return specfun._clamp01(math.exp(_log_conditional(split, z, kappa)))
 
 
 def kappa_density(z: int, kappa: float) -> float:
     """Density of the observed deviation factor: Gamma(z, z) at kappa."""
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_count("z", z, 1)
+    _check_positive("kappa", kappa)
     return math.exp(
         z * math.log(z)
         - specfun.log_gamma(float(z))
@@ -296,10 +277,8 @@ def deviation_tail(z: int, kappa: float) -> float:
 
     Depends only on z and kappa, not on the hash split.
     """
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_count("z", z, 1)
+    _check_positive("kappa", kappa)
     return specfun.reg_upper_gamma_q(z, kappa * z)
 
 
@@ -307,8 +286,7 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
     """Rebuild the unconditional probability by integrating the
     conditional one against the kappa density.  Independent cross-check
     of the closed form; agreement within 1e-8."""
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
+    _check_count("z", z, 1)
     kappa_up = 4.0
     while deviation_tail(z, kappa_up) >= 1e-12:
         kappa_up *= 2.0
@@ -328,10 +306,8 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
 
 def kappa_from_times(net: NetworkParams, split: HashSplit, z: int, tau1: float) -> float:
     """Deviation factor from the observed time: kappa = p tau1 / (z tau0)."""
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
-    if tau1 <= 0.0:
-        raise ValueError(f"tau1 must be positive, got {tau1}")
+    _check_count("z", z, 1)
+    _check_positive("tau1", tau1)
     return split.p * tau1 / (z * net.tau0)
 
 

@@ -1,23 +1,29 @@
 """Scalar special-function kernel.
 
-Log-gamma, the regularized incomplete beta function I_x(a, b), the
-regularized upper incomplete gamma function Q(s, x), and log-space
-binomial coefficients.  Everything is double precision; the beta and
-gamma evaluations are hand-rolled (continued fraction / series splits,
-prefactors assembled in log space) so the probability formulas built on
-top of them stay accurate far into the tails, where naive evaluation
-underflows.
+Log-gamma, log-space binomial coefficients, the regularized incomplete
+beta function I_x(a, b) and the regularized incomplete gamma functions
+P(s, x) and Q(s, x), in double precision.
 
-Log-space variants (``log_reg_inc_beta`` etc.) are provided for callers
-that need tail values below the smallest positive double.
+The incomplete gamma values come from ``scipy.special.gammainc`` /
+``gammaincc`` (Temme's uniform asymptotics near the transition x = s),
+called through their scalar entry points in
+``scipy.special.cython_special``: the same kernels without the
+microsecond of array dispatch a ufunc spends on each scalar.  The log
+variants take the log of that value; only where it falls below about
+1e-300 do they switch to a log-space series (for P) or continued
+fraction (for Q), so tails below the smallest positive double stay
+finite.
+
+The incomplete beta is still hand-rolled (a continued fraction with its
+prefactor assembled in log space); ``log_reg_inc_beta`` stays finite
+where I_x underflows.
 """
 
 import math
-from dataclasses import dataclass
+
+from scipy.special import cython_special
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "ConvergenceError",
     "log_gamma",
     "log_binomial",
@@ -28,28 +34,17 @@ __all__ = [
     "log_reg_lower_gamma_p",
 ]
 
+# Lentz floor, and the magnitude below which the incomplete gamma is
+# evaluated in log space instead of taken from scipy
 _TINY = 1e-300
+_REL_EPS = 1e-14
+# At the 1e-300 switch the log-space gamma series needs about 0.8 sqrt(s)
+# terms (770 at s = 10^6); the continued fractions need far fewer.
+_MAX_ITER = 5000
 
 
 class ConvergenceError(ArithmeticError):
     """Iteration cap reached before the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Relative tolerance and iteration cap for the iterative evaluations."""
-
-    rel_eps: float = 1e-14
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if not self.rel_eps > 0.0:
-            raise ValueError(f"rel_eps must be positive, got {self.rel_eps}")
-        if self.max_iter < 100:
-            raise ValueError(f"max_iter must be >= 100, got {self.max_iter}")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def _clamp01(x):
@@ -75,7 +70,7 @@ def log_binomial(n: int, k: int) -> float:
 # Regularized incomplete beta
 # --------------------------------------------------------------------------
 
-def _beta_cf(a, b, x, tol):
+def _beta_cf(a, b, x):
     """Continued fraction for I_x(a,b), modified Lentz recurrence.
 
     Converges fast for x < (a+1)/(a+b+2); the caller is responsible for
@@ -91,7 +86,7 @@ def _beta_cf(a, b, x, tol):
         d = _TINY
     d = 1.0 / d
     h = d
-    for m in range(1, tol.max_iter + 1):
+    for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -112,11 +107,11 @@ def _beta_cf(a, b, x, tol):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol.rel_eps:
+        if abs(delta - 1.0) < _REL_EPS:
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge "
-        f"(a={a}, b={b}, x={x}, max_iter={tol.max_iter})"
+        f"(a={a}, b={b}, x={x}, max_iter={_MAX_ITER})"
     )
 
 
@@ -128,7 +123,7 @@ def _log_beta_prefactor(a, b, x):
     )
 
 
-def reg_inc_beta(x: float, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b) in [0, 1].
 
     Direct continued fraction for x below the (a+1)/(a+b+2) crossover,
@@ -143,13 +138,13 @@ def reg_inc_beta(x: float, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> 
     if x == 1.0:
         return 1.0
     if x < (a + 1.0) / (a + b + 2.0):
-        v = math.exp(_log_beta_prefactor(a, b, x)) * _beta_cf(a, b, x, tol) / a
+        v = math.exp(_log_beta_prefactor(a, b, x)) * _beta_cf(a, b, x) / a
         return _clamp01(v)
-    v = math.exp(_log_beta_prefactor(b, a, 1.0 - x)) * _beta_cf(b, a, 1.0 - x, tol) / b
+    v = math.exp(_log_beta_prefactor(b, a, 1.0 - x)) * _beta_cf(b, a, 1.0 - x) / b
     return _clamp01(1.0 - v)
 
 
-def log_reg_inc_beta(x: float, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def log_reg_inc_beta(x: float, a: float, b: float) -> float:
     """ln I_x(a, b); stays finite where I_x underflows to zero."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"log_reg_inc_beta requires a > 0 and b > 0, got a={a}, b={b}")
@@ -160,10 +155,10 @@ def log_reg_inc_beta(x: float, a: float, b: float, tol: Tolerance = DEFAULT_TOL)
     if x < (a + 1.0) / (a + b + 2.0):
         return (
             _log_beta_prefactor(a, b, x)
-            + math.log(_beta_cf(a, b, x, tol))
+            + math.log(_beta_cf(a, b, x))
             - math.log(a)
         )
-    other = math.exp(_log_beta_prefactor(b, a, 1.0 - x)) * _beta_cf(b, a, 1.0 - x, tol) / b
+    other = math.exp(_log_beta_prefactor(b, a, 1.0 - x)) * _beta_cf(b, a, 1.0 - x) / b
     return math.log1p(-other)
 
 
@@ -171,30 +166,30 @@ def log_reg_inc_beta(x: float, a: float, b: float, tol: Tolerance = DEFAULT_TOL)
 # Regularized incomplete gamma
 # --------------------------------------------------------------------------
 
-def _log_lower_gamma_series(s, x, tol):
-    """ln P(s, x) by the lower series; requires x < s + 1."""
+def _log_lower_gamma_series(s, x):
+    """ln P(s, x) by the lower series; fast where P is tiny (x well below s)."""
     term = 1.0
     total = 1.0
     ap = s
-    for _ in range(tol.max_iter):
+    for _ in range(_MAX_ITER):
         ap += 1.0
         term *= x / ap
         total += term
-        if term < total * tol.rel_eps:
+        if term < total * _REL_EPS:
             return s * math.log(x) - x - log_gamma(s + 1.0) + math.log(total)
     raise ConvergenceError(
         f"lower incomplete gamma series did not converge "
-        f"(s={s}, x={x}, max_iter={tol.max_iter})"
+        f"(s={s}, x={x}, max_iter={_MAX_ITER})"
     )
 
 
-def _log_upper_gamma_cf(s, x, tol):
-    """ln Q(s, x) by the continued fraction; requires x >= s + 1."""
+def _log_upper_gamma_cf(s, x):
+    """ln Q(s, x) by the continued fraction; fast where Q is tiny (x well above s)."""
     b = x + 1.0 - s
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, tol.max_iter + 1):
+    for i in range(1, _MAX_ITER + 1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -206,51 +201,47 @@ def _log_upper_gamma_cf(s, x, tol):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol.rel_eps:
+        if abs(delta - 1.0) < _REL_EPS:
             return s * math.log(x) - x - log_gamma(s) + math.log(h)
     raise ConvergenceError(
         f"upper incomplete gamma continued fraction did not converge "
-        f"(s={s}, x={x}, max_iter={tol.max_iter})"
+        f"(s={s}, x={x}, max_iter={_MAX_ITER})"
     )
 
 
-def reg_upper_gamma_q(s: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def _check_gamma_args(name, s, x):
+    if not s > 0.0:
+        raise ValueError(f"{name} requires s > 0, got s={s}")
+    if not x >= 0.0:
+        raise ValueError(f"{name} requires x >= 0, got x={x}")
+
+
+def reg_upper_gamma_q(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s).
 
     For integer s this is the Poisson CDF partial sum
-    sum_{k<s} x^k/k! e^{-x}.  Lower series below x = s + 1, continued
-    fraction above; both assembled in log space.
+    sum_{k<s} x^k/k! e^{-x}.
     """
-    if s <= 0.0:
-        raise ValueError(f"reg_upper_gamma_q requires s > 0, got s={s}")
-    if x < 0.0:
-        raise ValueError(f"reg_upper_gamma_q requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return _clamp01(1.0 - math.exp(_log_lower_gamma_series(s, x, tol)))
-    return _clamp01(math.exp(_log_upper_gamma_cf(s, x, tol)))
+    _check_gamma_args("reg_upper_gamma_q", s, x)
+    return cython_special.gammaincc(s, x)
 
 
-def log_reg_upper_gamma_q(s: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def log_reg_upper_gamma_q(s: float, x: float) -> float:
     """ln Q(s, x); finite for x far above s where Q underflows."""
-    if s <= 0.0:
-        raise ValueError(f"log_reg_upper_gamma_q requires s > 0, got s={s}")
-    if x < 0.0:
-        raise ValueError(f"log_reg_upper_gamma_q requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return math.log1p(-math.exp(_log_lower_gamma_series(s, x, tol)))
-    return _log_upper_gamma_cf(s, x, tol)
+    _check_gamma_args("log_reg_upper_gamma_q", s, x)
+    v = cython_special.gammaincc(s, x)
+    if v >= _TINY:
+        return math.log(v)
+    return _log_upper_gamma_cf(s, x)
 
 
-def log_reg_lower_gamma_p(s: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def log_reg_lower_gamma_p(s: float, x: float) -> float:
     """ln P(s, x) = ln(1 - Q(s, x)); finite for x far below s."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"log_reg_lower_gamma_p requires s > 0, got s={s}")
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"log_reg_lower_gamma_p requires x > 0, got x={x}")
-    if x < s + 1.0:
-        return _log_lower_gamma_series(s, x, tol)
-    return math.log1p(-math.exp(_log_upper_gamma_cf(s, x, tol)))
+    v = cython_special.gammainc(s, x)
+    if v >= _TINY:
+        return math.log(v)
+    return _log_lower_gamma_series(s, x)

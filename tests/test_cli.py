@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from doublespend import cli, race
+from doublespend import cli, race, specfun
 from doublespend.cli import ProbTable, main
 
 from reference_tables import KAPPA_ROWS, Q_COLS, SATOSHI3_PERCENT, SATOSHI6_PERCENT
@@ -73,8 +73,23 @@ class TestConditional:
         assert "kappa=1.0000" in out
         assert "0.0002428" in out
 
-    def test_convergence_failure_is_domain_error(self, capsys):
+    def test_convergence_failure_is_domain_error(self, capsys, monkeypatch):
+        def no_convergence(*args):
+            raise specfun.ConvergenceError("series did not converge")
+
+        monkeypatch.setattr(race, "conditional_probability", no_convergence)
+        code = main(["conditional", "--q", "0.1", "--z", "6", "--kappa", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_million_confirmations(self, capsys):
         code = main(["conditional", "--q", "0.1", "--z", "1000000", "--kappa", "1"])
+        assert code == 0
+        assert "0.0000000 (0.00%)" in capsys.readouterr().out
+
+    def test_non_finite_kappa_is_domain_error(self, capsys):
+        code = main(["conditional", "--q", "0.1", "--z", "6", "--kappa", "inf"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -102,6 +117,10 @@ class TestConfirmations:
     def test_mid_share(self, capsys):
         assert main(["confirmations", "--q", "0.30", "--risk", "0.001"]) == 0
         assert capsys.readouterr().out.strip() == "z=32 z_SN=24"
+
+    def test_deep_risk_nakamoto_count(self, capsys):
+        assert main(["confirmations", "--q", "0.2", "--risk", "1e-17"]) == 0
+        assert capsys.readouterr().out.strip().endswith(" z_SN=61")
 
     def test_rejects_bad_risk(self, capsys):
         assert main(["confirmations", "--q", "0.1", "--risk", "2"]) == 2
@@ -249,6 +268,16 @@ class TestCurve:
         code = main(
             ["curve", "--q", "0.1", "--z", "6",
              "--kappa-step", step, "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "keep\n"
+
+    def test_failure_mid_series_leaves_out_untouched(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        out.write_text("keep\n")
+        code = main(
+            ["curve", "--q", "0.1", "--z", "6", "--z", "0", "--out", str(out)]
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")

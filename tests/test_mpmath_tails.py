@@ -1,0 +1,134 @@
+"""Deep-tail regression tests against 40-digit mpmath.
+
+Each value holds to 1e-12 relative error, or 1e-300 absolute where the
+reference is below 1e-300.  The points are where P_SN used to cancel,
+where its solver used to bisect over a curve that was not monotone, and
+where the incomplete gamma used to hit its iteration cap.
+"""
+
+import math
+
+import pytest
+from scipy import special
+
+from doublespend import asymptotics, race, specfun
+from doublespend.race import HashSplit
+
+mp = pytest.importorskip("mpmath")
+
+DPS = 40
+
+
+def split(q):
+    return HashSplit.from_attacker_share(q)
+
+
+def assert_close(got, ref):
+    ref = mp.mpf(ref)
+    if ref < mp.mpf("1e-300"):
+        assert abs(got - ref) <= mp.mpf("1e-300"), (got, ref)
+    else:
+        assert abs(got - ref) <= mp.mpf("1e-12") * ref, (got, ref)
+
+
+def nakamoto_mp(q, z):
+    """P_SN(z) by Nakamoto's Poisson sum, in mpmath."""
+    with mp.workdps(DPS):
+        q = mp.mpf(q)
+        lam = q / (1 - q)
+        mean = z * lam
+        return 1 - mp.fsum(
+            mp.exp(-mean) * mean**k / mp.factorial(k) * (1 - lam ** (z - k))
+            for k in range(z)
+        )
+
+
+def conditional_mp(q, z, kappa):
+    """P(z, kappa) = P(z, kappa z lam) + lam^z e^{kappa z (1-lam)} Q(z, kappa z)."""
+    with mp.workdps(DPS):
+        q = mp.mpf(q)
+        lam = q / (1 - q)
+        x = mp.mpf(kappa) * z
+        head = mp.gammainc(z, 0, x * lam, regularized=True)
+        tail = mp.exp(z * mp.log(lam) + x * (1 - lam)) * mp.gammainc(
+            z, x, mp.inf, regularized=True
+        )
+        return head + tail
+
+
+@pytest.mark.parametrize("z, magnitude", [(60, 1.45e-17), (100, 1.25e-28)])
+def test_nakamoto_deep_tail(z, magnitude):
+    got = race.nakamoto_probability(split(0.2), z)
+    assert got == pytest.approx(magnitude, rel=1e-2)
+    assert_close(got, nakamoto_mp(0.2, z))
+
+
+@pytest.mark.parametrize("q", [0.05, 0.2, 0.35, 0.45, 0.49])
+def test_nakamoto_strictly_decreasing(q):
+    s = split(q)
+    logs = [race._log_nakamoto(s, z) for z in range(1, 10_001)]
+    assert all(b < a for a, b in zip(logs, logs[1:]))
+    # below 1e-300 the doubles thin out into subnormals, where neighbours can tie
+    values = [race.nakamoto_probability(s, z) for z in range(1, 10_001)]
+    assert all(b < a if a > 1e-300 else b <= a for a, b in zip(values, values[1:]))
+
+
+def test_nakamoto_solver_crossing_at_1e_17():
+    assert race.confirmations_required(split(0.2), 1e-17, use_nakamoto=True) == 61
+    assert nakamoto_mp(0.2, 60) >= mp.mpf("1e-17") > nakamoto_mp(0.2, 61)
+
+
+def test_conditional_where_tail_needs_log_path():
+    q, z, kappa = 0.3, 10_000, 2.33
+    # Q(z, kappa z) underflows, so its log comes from the continued fraction
+    assert special.gammaincc(z, kappa * z) < 1e-300
+    assert_close(race.conditional_probability(split(q), z, kappa),
+                 conditional_mp(q, z, kappa))
+
+
+@pytest.mark.parametrize("q, kappa", [(0.3, 2.2), (0.45, 1.15)])
+def test_million_confirmations_in_log_space(q, kappa):
+    # kappa lam is just below 1, where ln P(z, kappa z lam) needs ~770
+    # series terms; the value underflows, so its log is what is held
+    z = 10**6
+    s = split(q)
+    assert_close(race.conditional_probability(s, z, kappa), conditional_mp(q, z, kappa))
+    with mp.workdps(DPS):
+        ref = mp.log(conditional_mp(q, z, kappa))
+    assert abs(race._log_conditional(s, z, kappa) - ref) <= 1e-12 * abs(ref)
+
+
+# (s, x) pairs where the value sits near 1e-295 (scipy path) and near
+# 1e-305 (log-space path)
+UPPER_POINTS = [(6.0, 707.29), (6.0, 730.48), (100.0, 1004.55), (100.0, 1030.05)]
+LOWER_POINTS = [(6.0, 2.0396e-49), (6.0, 4.3943e-51), (100.0, 0.042647), (100.0, 0.033872)]
+
+
+@pytest.mark.parametrize("s, x", UPPER_POINTS)
+def test_log_upper_gamma_agrees_across_switch(s, x):
+    cf = specfun._log_upper_gamma_cf(s, x)
+    assert abs(cf - math.log(special.gammaincc(s, x))) <= 1e-12
+    with mp.workdps(DPS):
+        ref = mp.log(mp.gammainc(s, x, mp.inf, regularized=True))
+    assert abs(specfun.log_reg_upper_gamma_q(s, x) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("s, x", LOWER_POINTS)
+def test_log_lower_gamma_agrees_across_switch(s, x):
+    series = specfun._log_lower_gamma_series(s, x)
+    assert abs(series - math.log(special.gammainc(s, x))) <= 1e-12
+    with mp.workdps(DPS):
+        ref = mp.log(mp.gammainc(s, 0, x, regularized=True))
+    assert abs(specfun.log_reg_lower_gamma_p(s, x) - ref) <= 1e-12
+
+
+def test_switch_points_straddle_the_threshold():
+    for points, fn in ((UPPER_POINTS, special.gammaincc), (LOWER_POINTS, special.gammainc)):
+        values = [fn(s, x) for s, x in points]
+        assert values[0] > 1e-300 > values[1]
+        assert values[2] > 1e-300 > values[3]
+
+
+def test_z0_sharp_near_half():
+    s = split(0.499)
+    assert 2 <= asymptotics.z0_sharp(s) <= asymptotics.z0_sufficient(s)

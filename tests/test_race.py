@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,8 +46,10 @@ class TestHashSplit:
                 split(q)
 
     def test_rejects_inconsistent_fields(self):
-        with pytest.raises(ValueError):
+        # p, lam and s are derived from q, never passed in
+        with pytest.raises(TypeError):
             HashSplit(q=0.3, p=0.6, lam=0.5, s=0.72)
+        assert HashSplit(0.3) == split(0.3)
 
     def test_boundary_half_allowed(self):
         assert split(0.5).s == 1.0
@@ -60,12 +63,17 @@ class TestNetworkParams:
         assert net.t0 == pytest.approx(100.0 / 9.0, rel=1e-15)
 
     def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ValueError):
-            NetworkParams.for_split(split(0.1), tau0=0.0)
+        for tau0 in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                NetworkParams.for_split(split(0.1), tau0=tau0)
 
     def test_rejects_inconsistent_rates(self):
-        with pytest.raises(ValueError):
+        # the rates and t0 are derived from tau0 and q, never passed in
+        with pytest.raises(TypeError):
             NetworkParams(tau0=10.0, alpha=0.05, alpha_prime=0.01, t0=20.0)
+        assert NetworkParams(tau0=10.0, q=0.1) == NetworkParams.for_split(split(0.1))
+        with pytest.raises(ValueError):
+            NetworkParams(tau0=10.0, q=0.6)
 
 
 class TestRaceQuery:
@@ -97,6 +105,32 @@ class TestRaceQuery:
             RaceQuery(z=1, kappa=0.0)
         with pytest.raises(ValueError):
             RaceQuery(z=1, tau1=-5.0)
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("z", [6.5, 6.0, True, "6", None])
+    def test_rejects_non_integer_z(self, z):
+        s = split(0.1)
+        for fn in (attacker_success_closed, nakamoto_probability, attacker_success_sum):
+            with pytest.raises(ValueError):
+                fn(s, z)
+        with pytest.raises(ValueError):
+            conditional_probability(s, z, 1.0)
+        with pytest.raises(ValueError):
+            kappa_density(z, 1.0)
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan, -math.inf, 0.0])
+    def test_rejects_non_finite_kappa(self, kappa):
+        with pytest.raises(ValueError):
+            conditional_probability(split(0.1), 6, kappa)
+        with pytest.raises(ValueError):
+            deviation_tail(6, kappa)
+        with pytest.raises(ValueError):
+            RaceQuery(z=6, kappa=kappa)
+
+    def test_accepts_numpy_integers(self):
+        s = split(0.1)
+        assert attacker_success_closed(s, np.int64(6)) == attacker_success_closed(s, 6)
 
 
 class TestCatchupProbability:
