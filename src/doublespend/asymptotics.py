@@ -9,6 +9,8 @@ approximations and an out-of-range value is diagnostic, not a bug.
 import enum
 import math
 
+import numpy as np
+
 from . import race, specfun
 
 __all__ = [
@@ -26,6 +28,11 @@ __all__ = [
 
 # kappa this close to a removable singularity is treated as sitting on it
 _REGIME_TOL = 1e-9
+# z0_sharp accepts a rank once this many consecutive ranks from it are good
+_Z0_WINDOW = 200
+# kappa_threshold bisects to this relative bracket width, in at most so many steps
+_KAPPA_TOL = 1e-13
+_KAPPA_MAX_ITER = 400
 
 
 class RegimeLabel(enum.Enum):
@@ -152,30 +159,33 @@ def z0_sufficient(split: race.HashSplit) -> int:
     return max(1, math.ceil(max(first, second)))
 
 
-def z0_sharp(split: race.HashSplit, window: int = 200) -> int:
+def z0_sharp(split: race.HashSplit) -> int:
     """Smallest z >= 2 with Nakamoto's probability strictly below the
-    exact one for every rank in [z, z + window].
+    exact one for every rank in [z, z + _Z0_WINDOW - 1].
 
     Comparison is done on logarithms so deep tails do not underflow to a
     spurious tie; beyond the verification window the decay-rate
-    inequality log(1/s) < c(q/p) guarantees the ordering holds.
+    inequality log(1/s) < c(q/p) guarantees the ordering holds.  Both
+    logarithms are evaluated over a block of ranks at once; while no run
+    of _Z0_WINDOW good ranks has closed, the next block doubles the
+    ranks covered.
     """
     if split.q >= 0.5:
         raise ValueError(f"z0_sharp requires q < 0.5, got q={split.q}")
-    last_bad = 1
-    good_run = 0
-    w = 2
-    while good_run < window:
-        if race._log_nakamoto(split, w) >= race._log_success_closed(split, w):
-            last_bad = w
-            good_run = 0
-        else:
-            good_run += 1
-        w += 1
-    return max(2, last_bad + 1)
+    last_bad, lo, hi = 1, 2, _Z0_WINDOW + 2
+    while True:
+        w = np.arange(lo, hi)
+        bad = w[race._log_nakamoto(split, w) >= race._log_success_closed(split, w)]
+        # bad ranks, bracketed by the last one before lo and by hi, so each
+        # gap minus one is a run of good ranks
+        ranks = np.concatenate(([last_bad], bad, [hi]))
+        closed = np.flatnonzero(np.diff(ranks) > _Z0_WINDOW)
+        if closed.size:
+            return int(ranks[closed[0]]) + 1
+        last_bad, lo, hi = int(ranks[-2]), hi, 2 * hi
 
 
-def kappa_threshold(split: race.HashSplit, z: int, tol: float = 1e-13, max_iter: int = 400) -> float:
+def kappa_threshold(split: race.HashSplit, z: int) -> float:
     """Unique positive root kappa(z) of
 
         sum_{j=1}^{z-1} [prod_{i<=j} (1 - i/z)] / kappa^j  =  lam/(1-lam)
@@ -206,13 +216,13 @@ def kappa_threshold(split: race.HashSplit, z: int, tol: float = 1e-13, max_iter:
         hi *= 2.0
         if hi > 1e12:
             raise specfun.ConvergenceError("kappa_threshold bracket expansion failed")
-    for _ in range(max_iter):
+    for _ in range(_KAPPA_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if lhs(mid) > target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * hi:
+        if hi - lo <= _KAPPA_TOL * hi:
             return 0.5 * (lo + hi)
     raise specfun.ConvergenceError(
         f"kappa_threshold bisection did not converge for z={z}, q={split.q}"

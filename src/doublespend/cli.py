@@ -3,13 +3,14 @@
 Subcommands: prob, conditional, confirmations, table, simulate, curve.
 Exit codes: 0 success, 1 statistical-check failure, 2 domain error
 (bad input such as a non-positive grid step, or a value the library
-cannot converge on), 3 I/O error.  A bad grid step is rejected before
---out is opened, and ``curve`` computes every row before it opens --out,
-so an error leaves an existing file untouched.
+cannot converge on), 3 I/O error.  ``curve`` and every ``table`` compute
+all their rows before they open --out, so an error leaves an existing
+file untouched.
 """
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -116,13 +117,13 @@ def _satoshi_table(z):
     return table
 
 
-def _z0_boundary(k, lo=0.001, hi=0.4999, tol=1e-4):
-    """Smallest q at which z0_sharp reaches k, by bisection."""
-    if asymptotics.z0_sharp(_split(lo)) >= k:
+def _z0_boundary(k, z0_at, lo=0.001, hi=0.4999, tol=1e-4):
+    """Smallest q at which z0_at(q), the sharp rank z0, reaches k, by bisection."""
+    if z0_at(lo) >= k:
         return 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if asymptotics.z0_sharp(_split(mid)) >= k:
+        if z0_at(mid) >= k:
             hi = mid
         else:
             lo = mid
@@ -141,24 +142,22 @@ def cmd_table(args):
     elif which == "pz_q03":
         _pz_table(0.3, range(0, 51, 5)).write_csv(args.out, lambda v: f"{v:.7f}")
     elif which == "confirmations":
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["q", "z", "z_sn"])
-            for q in CONFIRMATION_QS:
-                split = _split(q)
-                writer.writerow(
-                    [
-                        f"{q:.2f}",
-                        race.confirmations_required(split, 0.001),
-                        race.confirmations_required(split, 0.001, use_nakamoto=True),
-                    ]
-                )
+        rows = []
+        for q in CONFIRMATION_QS:
+            split = _split(q)
+            rows.append(
+                [
+                    f"{q:.2f}",
+                    race.confirmations_required(split, 0.001),
+                    race.confirmations_required(split, 0.001, use_nakamoto=True),
+                ]
+            )
+        _write_rows(args.out, ["q", "z", "z_sn"], rows)
     elif which == "z0":
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["z0", "q_min"])
-            for k in range(2, 12):
-                writer.writerow([k, f"{_z0_boundary(k):.3f}"])
+        # the bisections for neighbouring k probe many of the same q
+        z0_at = functools.cache(lambda q: asymptotics.z0_sharp(_split(q)))
+        rows = [[k, f"{_z0_boundary(k, z0_at):.3f}"] for k in range(2, 12)]
+        _write_rows(args.out, ["z0", "q_min"], rows)
     else:  # custom
         qs = [round(q, 10) for q in _frange(args.q_min, args.q_max, args.q_step)]
         table = ProbTable("z", "q", qs)
@@ -166,6 +165,13 @@ def cmd_table(args):
             table.add_row(z, [race.attacker_success_closed(_split(q), z) for q in qs])
         table.write_csv(args.out, lambda v: f"{v:.7f}")
     return 0
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _frange(start, stop, step):
@@ -218,10 +224,7 @@ def cmd_curve(args):
         for z in args.z
         for kappa in kappas
     ]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["z", "kappa", "probability"])
-        writer.writerows(rows)
+    _write_rows(args.out, ["z", "kappa", "probability"], rows)
     return 0
 
 

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
 from scipy.integrate import quad
 
 from . import specfun
@@ -154,6 +155,8 @@ class RaceQuery:
 
 
 def _logaddexp(a, b):
+    if isinstance(a, np.ndarray):
+        return np.logaddexp(a, b)
     m = max(a, b)
     if m == -math.inf:
         return -math.inf
@@ -218,6 +221,7 @@ def attacker_success_closed(split: HashSplit, z: int) -> float:
 
 
 def _log_success_closed(split, z):
+    """ln P(z), elementwise if z is an integer numpy array."""
     return specfun.log_reg_inc_beta(split.s, z, 0.5)
 
 
@@ -232,7 +236,8 @@ def nakamoto_probability(split: HashSplit, z: int) -> float:
 
 
 def _log_conditional(split, z, kappa):
-    # ln[ P(z, kappa z lam) + lam^z e^{kappa z (1-lam)} Q(z, kappa z) ];
+    # ln[ P(z, kappa z lam) + lam^z e^{kappa z (1-lam)} Q(z, kappa z) ],
+    # elementwise if z is an integer numpy array;
     # the tail is summed in log space because e^{kappa z (1-lam)} overflows
     # where Q(z, kappa z) underflows
     lam = split.lam

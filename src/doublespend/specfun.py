@@ -1,4 +1,4 @@
-"""Scalar special-function kernel.
+"""Special-function kernel.
 
 Log-gamma, log-space binomial coefficients, the regularized incomplete
 beta function I_x(a, b) and the regularized incomplete gamma functions
@@ -6,21 +6,24 @@ P(s, x) and Q(s, x), in double precision.
 
 The incomplete gamma values come from ``scipy.special.gammainc`` /
 ``gammaincc`` (Temme's uniform asymptotics near the transition x = s),
-called through their scalar entry points in
-``scipy.special.cython_special``: the same kernels without the
-microsecond of array dispatch a ufunc spends on each scalar.  The log
-variants take the log of that value; only where it falls below about
+and the log incomplete beta from ``scipy.special.betainc``.  The log
+functions take the log of that value; only where it falls below about
 1e-300 do they switch to a log-space series (for P) or continued
-fraction (for Q), so tails below the smallest positive double stay
-finite.
+fraction (for Q and I_x), so tails below the smallest positive double
+stay finite.  For numbers they call the scalar entry points in
+``scipy.special.cython_special``: the same kernels without the
+microsecond of array dispatch a ufunc spends on each scalar.  Given a
+numpy array (s for the gamma functions, a for the beta) they call the
+ufunc once over it and run the log-space fallback element by element.
 
-The incomplete beta is still hand-rolled (a continued fraction with its
-prefactor assembled in log space); ``log_reg_inc_beta`` stays finite
-where I_x underflows.
+The linear ``reg_inc_beta`` is still hand-rolled (a continued fraction
+with its prefactor assembled in log space).
 """
 
 import math
 
+import numpy as np
+from scipy import special
 from scipy.special import cython_special
 
 __all__ = [
@@ -34,13 +37,15 @@ __all__ = [
     "log_reg_lower_gamma_p",
 ]
 
-# Lentz floor, and the magnitude below which the incomplete gamma is
-# evaluated in log space instead of taken from scipy
+# Lentz floor, and the magnitude below which the log of an incomplete
+# gamma or beta value is evaluated in log space instead of taken from scipy
 _TINY = 1e-300
 _REL_EPS = 1e-14
 # At the 1e-300 switch the log-space gamma series needs about 0.8 sqrt(s)
 # terms (770 at s = 10^6); the continued fractions need far fewer.
 _MAX_ITER = 5000
+# an argument of this type makes a log function run its ufunc over all of it
+_ARRAY = np.ndarray
 
 
 class ConvergenceError(ArithmeticError):
@@ -50,6 +55,21 @@ class ConvergenceError(ArithmeticError):
 def _clamp01(x):
     # absorb last-ulp excursions; downstream invariants assume [0, 1]
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
+def _log_or_fallback(v, fallback, *args):
+    """ln v elementwise, where v is a ufunc's value at ``args`` (numbers or
+    arrays); an element below _TINY is replaced by ``fallback`` evaluated
+    at that element's arguments.  A 0-d input gives a numpy scalar."""
+    shape = np.shape(v)
+    v = np.ravel(v)
+    tiny = v < _TINY
+    out = np.log(np.where(tiny, 1.0, v))
+    if tiny.any():
+        flat_args = [np.ravel(np.broadcast_to(arg, shape)) for arg in args]
+        for i in np.flatnonzero(tiny):
+            out[i] = fallback(*(float(arg[i]) for arg in flat_args))
+    return out.reshape(shape)[()]
 
 
 def log_gamma(x: float) -> float:
@@ -144,22 +164,26 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return _clamp01(1.0 - v)
 
 
-def log_reg_inc_beta(x: float, a: float, b: float) -> float:
-    """ln I_x(a, b); stays finite where I_x underflows to zero."""
-    if a <= 0.0 or b <= 0.0:
+def _log_beta_cf(x, a, b):
+    # ln I_x(a, b) by the direct continued fraction: the branch that holds
+    # where I_x is tiny, x below the (a+1)/(a+b+2) crossover
+    return _log_beta_prefactor(a, b, x) + math.log(_beta_cf(a, b, x)) - math.log(a)
+
+
+def log_reg_inc_beta(x: float, a, b: float):
+    """ln I_x(a, b), elementwise if a is a numpy array; stays finite where
+    I_x underflows to zero."""
+    array = isinstance(a, _ARRAY)
+    if not ((np.min(a) if array else a) > 0.0 and b > 0.0):
         raise ValueError(f"log_reg_inc_beta requires a > 0 and b > 0, got a={a}, b={b}")
-    if x <= 0.0 or x > 1.0:
+    if not 0.0 < x <= 1.0:
         raise ValueError(f"log_reg_inc_beta requires 0 < x <= 1, got x={x}")
-    if x == 1.0:
-        return 0.0
-    if x < (a + 1.0) / (a + b + 2.0):
-        return (
-            _log_beta_prefactor(a, b, x)
-            + math.log(_beta_cf(a, b, x))
-            - math.log(a)
-        )
-    other = math.exp(_log_beta_prefactor(b, a, 1.0 - x)) * _beta_cf(b, a, 1.0 - x) / b
-    return math.log1p(-other)
+    if array:
+        return _log_or_fallback(special.betainc(a, b, x), _log_beta_cf, x, a, b)
+    v = cython_special.betainc(float(a), float(b), float(x))
+    if v >= _TINY:
+        return math.log(v)
+    return _log_beta_cf(x, a, b)
 
 
 # --------------------------------------------------------------------------
@@ -226,8 +250,12 @@ def reg_upper_gamma_q(s: float, x: float) -> float:
     return cython_special.gammaincc(s, x)
 
 
-def log_reg_upper_gamma_q(s: float, x: float) -> float:
-    """ln Q(s, x); finite for x far above s where Q underflows."""
+def log_reg_upper_gamma_q(s, x):
+    """ln Q(s, x); finite for x far above s where Q underflows.  Elementwise
+    if s is a numpy array (x a number or an array of the same shape)."""
+    if isinstance(s, _ARRAY):
+        _check_gamma_args("log_reg_upper_gamma_q", np.min(s), np.min(x))
+        return _log_or_fallback(special.gammaincc(s, x), _log_upper_gamma_cf, s, x)
     _check_gamma_args("log_reg_upper_gamma_q", s, x)
     v = cython_special.gammaincc(s, x)
     if v >= _TINY:
@@ -235,8 +263,13 @@ def log_reg_upper_gamma_q(s: float, x: float) -> float:
     return _log_upper_gamma_cf(s, x)
 
 
-def log_reg_lower_gamma_p(s: float, x: float) -> float:
-    """ln P(s, x) = ln(1 - Q(s, x)); finite for x far below s."""
+def log_reg_lower_gamma_p(s, x):
+    """ln P(s, x) = ln(1 - Q(s, x)); finite for x far below s.  Elementwise
+    if s is a numpy array (x a number or an array of the same shape)."""
+    if isinstance(s, _ARRAY):
+        if not (np.min(s) > 0.0 and np.min(x) > 0.0):
+            raise ValueError(f"log_reg_lower_gamma_p requires s > 0 and x > 0, got s={s}, x={x}")
+        return _log_or_fallback(special.gammainc(s, x), _log_lower_gamma_series, s, x)
     if not s > 0.0:
         raise ValueError(f"log_reg_lower_gamma_p requires s > 0, got s={s}")
     if not x > 0.0:

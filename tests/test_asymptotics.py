@@ -1,10 +1,14 @@
 """Asymptotics, bounds, the comparison rank z0, and the threshold kappa(z)."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from doublespend import race, specfun
+from doublespend import asymptotics, race, specfun
 from doublespend.asymptotics import (
     RegimeLabel,
     c_function,
@@ -36,6 +40,51 @@ def log_conditional(s, z, kappa):
     )
     m = max(log_head, log_tail)
     return m + math.log(math.exp(log_head - m) + math.exp(log_tail - m))
+
+
+def log_inc_beta_cf(x, a, b):
+    """ln I_x(a, b) from the hand-rolled continued fraction alone, as
+    specfun evaluated it before the value came from scipy's betainc."""
+    if x < (a + 1.0) / (a + b + 2.0):
+        return (
+            specfun._log_beta_prefactor(a, b, x)
+            + math.log(specfun._beta_cf(a, b, x))
+            - math.log(a)
+        )
+    other = math.exp(specfun._log_beta_prefactor(b, a, 1.0 - x)) * specfun._beta_cf(
+        b, a, 1.0 - x
+    ) / b
+    return math.log1p(-other)
+
+
+def first_settled_rank(is_bad, window):
+    """Rank-by-rank scan: one past the last bad rank, found once ``window``
+    good ranks in a row follow it (rank 1 counts as bad)."""
+    last_bad, good_run, w = 1, 0, 2
+    while good_run < window:
+        if is_bad(w):
+            last_bad, good_run = w, 0
+        else:
+            good_run += 1
+        w += 1
+    return last_bad + 1
+
+
+def z0_sharp_scan(s):
+    """The scalar z0_sharp: a scan over scalar P_SN and scalar log-beta probes."""
+    return first_settled_rank(
+        lambda w: race._log_conditional(s, w, 1.0) >= log_inc_beta_cf(s.s, w, 0.5), 200
+    )
+
+
+def z0_with_bad_ranks(bad, window):
+    """z0_sharp with the window set to ``window`` and stand-in log
+    probabilities under which exactly the ranks in ``bad`` are bad."""
+    bad = sorted(bad)
+    with mock.patch.object(asymptotics, "_Z0_WINDOW", window), mock.patch.object(
+        race, "_log_nakamoto", lambda s, w: np.where(np.isin(w, bad), 0.0, -1.0)
+    ), mock.patch.object(race, "_log_success_closed", lambda s, w: np.zeros(len(w))):
+        return z0_sharp(split(0.3))
 
 
 class TestCFunction:
@@ -295,6 +344,36 @@ class TestComparisonRank:
         for q in (0.05, 0.15, 0.25, 0.35, 0.45):
             s = split(q)
             assert z0_sufficient(s) >= z0_sharp(s)
+
+    def test_sharp_rank_matches_scalar_scan(self):
+        for q in np.linspace(0.001, 0.499, 301):
+            s = split(float(q))
+            assert z0_sharp(s) == z0_sharp_scan(s), q
+
+    def test_sharp_rank_near_half(self):
+        assert z0_sharp(split(0.499)) == 43692
+
+    @pytest.mark.parametrize(
+        "bad, expected",
+        [
+            ((), 2),
+            ((2, 3, 8), 4),  # exactly the window of good ranks, 4..7, closes
+            ((2, 3, 9), 4),  # window + 1 good ranks, 4..8
+            ((2, 3, 7, 12), 8),  # window - 1 good ranks, 4..6, do not
+            ((5,), 6),  # last rank of the first block, 2..5
+            (tuple(range(2, 10)), 10),  # the run starts in the second block, ends in the third
+            (tuple(range(2, 41, 3)) + (40,), 41),  # 11 ends the second block; 40 is in the fourth
+        ],
+    )
+    def test_run_detection(self, bad, expected):
+        assert z0_with_bad_ranks(bad, 4) == expected
+        assert first_settled_rank(lambda w: w in bad, 4) == expected
+
+    @given(st.integers(1, 8), st.sets(st.integers(2, 150), max_size=40))
+    def test_run_detection_matches_scan(self, window, bad):
+        assert z0_with_bad_ranks(bad, window) == first_settled_rank(
+            lambda w: w in bad, window
+        )
 
 
 class TestKappaThreshold:

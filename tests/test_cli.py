@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from doublespend import cli, race, specfun
+from doublespend import asymptotics, cli, race, specfun
 from doublespend.cli import ProbTable, main
 
 from reference_tables import KAPPA_ROWS, Q_COLS, SATOSHI3_PERCENT, SATOSHI6_PERCENT
@@ -199,6 +199,29 @@ class TestTable:
         code = main(["table", "--which", "custom", "--out", str(out), "--q-step", "0"])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "which, module, solver",
+        [("z0", asymptotics, "z0_sharp"), ("confirmations", race, "confirmations_required")],
+    )
+    def test_solver_failure_leaves_out_untouched(
+        self, tmp_path, capsys, monkeypatch, which, module, solver
+    ):
+        real = getattr(module, solver)
+        calls = []
+
+        def fails_third_time(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise specfun.ConvergenceError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, solver, fails_third_time)
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"keep\r\n")
+        assert main(["table", "--which", which, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b"keep\r\n"
 
     def test_unwritable_path_is_io_error(self, capsys):
         code = main(

@@ -8,6 +8,7 @@ where the incomplete gamma used to hit its iteration cap.
 
 import math
 
+import numpy as np
 import pytest
 from scipy import special
 
@@ -68,6 +69,8 @@ def test_nakamoto_strictly_decreasing(q):
     s = split(q)
     logs = [race._log_nakamoto(s, z) for z in range(1, 10_001)]
     assert all(b < a for a, b in zip(logs, logs[1:]))
+    # the array path z0_sharp compares over whole blocks of ranks
+    assert np.all(np.diff(race._log_nakamoto(s, np.arange(1, 10_001))) < 0)
     # below 1e-300 the doubles thin out into subnormals, where neighbours can tie
     values = [race.nakamoto_probability(s, z) for z in range(1, 10_001)]
     assert all(b < a if a > 1e-300 else b <= a for a, b in zip(values, values[1:]))
@@ -127,6 +130,34 @@ def test_switch_points_straddle_the_threshold():
         values = [fn(s, x) for s, x in points]
         assert values[0] > 1e-300 > values[1]
         assert values[2] > 1e-300 > values[3]
+
+
+def log_success_closed_mp(q, z_max):
+    """ln I_s(z, 1/2) for z = 2..z_max in mpmath: one betainc at z_max, then
+    I_s(z, 1/2) = I_s(z + 1, 1/2) + t(z) downwards, where
+    t(z) = s^z (1 - s)^(1/2) / (z B(z, 1/2)) and t(z) / t(z + 1) = (z + 1) / ((z + 1/2) s).
+    Every step adds a positive term, so nothing cancels."""
+    with mp.workdps(DPS):
+        s = mp.mpf(split(q).s)
+        value = mp.betainc(z_max, 0.5, 0, s, regularized=True)
+        term = mp.exp(
+            mp.loggamma(z_max + 0.5) - mp.loggamma(z_max + 1) - mp.loggamma(0.5)
+            + z_max * mp.log(s) + 0.5 * mp.log(1 - s)
+        )
+        logs = [mp.log(value)]
+        for z in range(z_max - 1, 1, -1):
+            term *= (z + 1) / ((z + mp.mpf(0.5)) * s)
+            value += term
+            logs.append(mp.log(value))
+        return logs[::-1]
+
+
+@pytest.mark.parametrize("q", [0.001, 0.1, 0.3, 0.45])
+def test_log_success_closed_array(q):
+    # at q = 0.001 every rank from 133 on is below 1e-300, on the log fallback
+    got = race._log_success_closed(split(q), np.arange(2, 2001))
+    for z, value, ref in zip(range(2, 2001), got, log_success_closed_mp(q, 2000)):
+        assert abs(value - ref) <= mp.mpf("1e-13") * abs(ref), (z, value, ref)
 
 
 def test_z0_sharp_near_half():

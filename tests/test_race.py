@@ -285,6 +285,34 @@ class TestNakamotoProbability:
                 ) <= 1e-12
 
 
+class TestLogArrays:
+    """The array log probabilities z0_sharp compares: ln P_SN element by
+    element against the scalar path (ln P is checked against mpmath in
+    test_mpmath_tails.py)."""
+
+    @pytest.mark.parametrize("q", [0.001, 0.1, 0.3, 0.45])
+    def test_elementwise_against_scalar(self, q):
+        s = split(q)
+        z = np.arange(2, 2001)
+        nakamoto = race._log_nakamoto(s, z)
+        np.testing.assert_allclose(
+            nakamoto, [race._log_conditional(s, int(k), 1.0) for k in z], rtol=1e-13, atol=0
+        )
+        if q == 0.001:
+            # the per-element log fallback runs where the values underflow
+            floor = math.log(1e-300)
+            assert nakamoto[0] > floor > nakamoto[-1]
+            closed = race._log_success_closed(s, z)
+            assert closed[0] > floor > closed[-1]
+
+    def test_keeps_shape(self):
+        s = split(0.2)
+        z = np.array([[2, 600], [3, 900]])
+        assert race._log_success_closed(s, z).shape == (2, 2)
+        assert race._log_nakamoto(s, z).shape == (2, 2)
+        assert race._log_nakamoto(s, 600) == race._log_nakamoto(s, z)[0, 1]
+
+
 class TestConditionalProbability:
     def test_published_cells(self):
         # printed in percent with two decimals in the published tables

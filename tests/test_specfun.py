@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,6 +205,42 @@ class TestRegUpperGammaQ:
         assert math.exp(log_reg_upper_gamma_q(6.0, 24.0)) == pytest.approx(
             reg_upper_gamma_q(6.0, 24.0), rel=1e-12
         )
+
+
+class TestLogArrays:
+    """A numpy array argument runs the ufunc once, with the log-space
+    fallback on the elements below 1e-300; each element matches the
+    scalar call."""
+
+    CASES = [
+        # (function, arguments); the last elements sit below 1e-300
+        (log_reg_inc_beta, (0.36, np.array([1, 6, 50, 1000, 5000]), 0.5)),
+        (log_reg_upper_gamma_q, (np.array([6.0, 100.0, 500.0]), np.array([24.0, 1000.0, 5000.0]))),
+        (log_reg_lower_gamma_p, (np.array([6.0, 100.0, 2000.0]), np.array([3.0, 10.0, 200.0]))),
+    ]
+
+    @pytest.mark.parametrize("fn, args", CASES)
+    def test_matches_scalar(self, fn, args):
+        got = fn(*args)
+        n = len(got)
+        assert got[-1] < math.log(1e-300) < got[0]
+        for i in range(n):
+            scalar = fn(*(float(a[i]) if isinstance(a, np.ndarray) else a for a in args))
+            assert got[i] == pytest.approx(scalar, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (log_reg_inc_beta, (0.36, np.array([6.0, 0.0]), 0.5)),
+            (log_reg_inc_beta, (0.36, np.array([6.0, np.nan]), 0.5)),
+            (log_reg_upper_gamma_q, (np.array([6.0, -1.0]), 1.0)),
+            (log_reg_upper_gamma_q, (np.array([6.0, 6.0]), np.array([1.0, -1.0]))),
+            (log_reg_lower_gamma_p, (np.array([6.0, 6.0]), np.array([1.0, 0.0]))),
+        ],
+    )
+    def test_rejects_bad_element(self, fn, args):
+        with pytest.raises(ValueError):
+            fn(*args)
 
 
 def test_clamp_helper():
