@@ -12,7 +12,6 @@ from .race import (
     NetworkParams,
     RaceQuery,
     attacker_success_closed,
-    attacker_success_sum,
     catchup_probability,
     conditional_probability,
     confirmations_required,
@@ -44,7 +43,6 @@ __all__ = [
     "NetworkParams",
     "RaceQuery",
     "attacker_success_closed",
-    "attacker_success_sum",
     "catchup_probability",
     "conditional_probability",
     "confirmations_required",

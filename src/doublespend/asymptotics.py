@@ -46,6 +46,15 @@ class RegimeLabel(enum.Enum):
     above_p_over_q = "above_p_over_q"
 
 
+def _check_args(split, z=None, least=1):
+    """Reject q = 1/2, where every formula here degenerates, and a z that is
+    not an integer >= least (z is None for the functions that take none)."""
+    if split.q >= 0.5:
+        raise ValueError(f"asymptotics require q < 0.5, got q={split.q}")
+    if z is not None:
+        race._check_count("z", z, least)
+
+
 def c_function(x: float) -> float:
     """Exponential decay rate c(x) = x - 1 - ln x; zero only at x = 1."""
     if x <= 0.0:
@@ -55,43 +64,26 @@ def c_function(x: float) -> float:
 
 def p_asymptotic(split: race.HashSplit, z: int) -> float:
     """Leading-order exact probability, s^z / sqrt(pi (1-s) z)."""
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
-    if split.q >= 0.5:
-        raise ValueError(f"p_asymptotic requires q < 0.5, got q={split.q}")
+    _check_args(split, z)
     s = split.s
     return math.exp(z * math.log(s) - 0.5 * math.log(math.pi * (1.0 - s) * z))
 
 
 def psn_asymptotic(split: race.HashSplit, z: int) -> float:
     """Leading-order Nakamoto probability, e^{-z c(q/p)} / 2."""
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
-    if split.q >= 0.5:
-        raise ValueError(f"psn_asymptotic requires q < 0.5, got q={split.q}")
+    _check_args(split, z)
     return 0.5 * math.exp(-z * c_function(split.lam))
 
 
-def conditional_asymptotic(
-    split: race.HashSplit,
-    z: int,
-    kappa: float,
-    at_ratio_correction: str = "sqrt",
-):
+def conditional_asymptotic(split: race.HashSplit, z: int, kappa: float):
     """Classify kappa into its asymptotic regime and return
     (RegimeLabel, approximate probability).
 
-    ``at_ratio_correction`` picks the correction term used at
-    kappa = p/q: "sqrt" gives a 1/sqrt(2 pi z) scale, "linear" a
-    1/(2 pi z) scale.  Both candidate rates circulate for this
-    correction; only the limit 1/2 is load-bearing.
+    At kappa = p/q the value is 1/2 + (1/3 + q/(p-q)) / sqrt(2 pi z),
+    the limit that (P(z, p/q) - 1/2) sqrt(2 pi z) tends to.
     """
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if at_ratio_correction not in ("sqrt", "linear"):
-        raise ValueError(f"unknown at_ratio_correction {at_ratio_correction!r}")
+    _check_args(split, z)
+    race._check_positive("kappa", kappa)
     lam = split.lam
     ratio = 1.0 / lam  # p/q
     root = math.sqrt(2.0 * math.pi * z)
@@ -99,8 +91,7 @@ def conditional_asymptotic(
     if abs(kappa - 1.0) < _REGIME_TOL:
         return RegimeLabel.at_one, psn_asymptotic(split, z)
     if abs(kappa - ratio) < _REGIME_TOL:
-        scale = 1.0 / root if at_ratio_correction == "sqrt" else 1.0 / (2.0 * math.pi * z)
-        corr = scale * (1.0 / 3.0 + split.q / (split.p - split.q))
+        corr = (1.0 / 3.0 + split.q / (split.p - split.q)) / root
         return RegimeLabel.at_p_over_q, 0.5 + corr
     decay = math.exp(-z * c_function(kappa * lam))
     if kappa < 1.0:
@@ -117,10 +108,7 @@ def p_bounds(split: race.HashSplit, z: int):
 
         sqrt(z/(z+1/2)) s^z/sqrt(pi z)  <=  P(z)  <=  s^z/sqrt(pi (1-s) z)
     """
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
-    if split.q >= 0.5:
-        raise ValueError(f"p_bounds requires q < 0.5, got q={split.q}")
+    _check_args(split, z)
     s = split.s
     base = math.exp(z * math.log(s) - 0.5 * math.log(math.pi * z))
     lower = math.sqrt(z / (z + 0.5)) * base
@@ -131,10 +119,7 @@ def p_bounds(split: race.HashSplit, z: int):
 def psn_upper_bound(split: race.HashSplit, z: int) -> float:
     """Strict upper bound for the Nakamoto probability,
     (1/(1-q/p)) e^{-z c(q/p)} / sqrt(2 pi z) + e^{-z c(q/p)} / 2."""
-    if z < 1:
-        raise ValueError(f"z must be positive, got {z}")
-    if split.q >= 0.5:
-        raise ValueError(f"psn_upper_bound requires q < 0.5, got q={split.q}")
+    _check_args(split, z)
     decay = math.exp(-z * c_function(split.lam))
     return decay / ((1.0 - split.lam) * math.sqrt(2.0 * math.pi * z)) + 0.5 * decay
 
@@ -147,8 +132,7 @@ def _psi(split):
 def z0_sufficient(split: race.HashSplit) -> int:
     """Explicit (non-sharp) rank: for z at or above the returned value the
     exact probability strictly exceeds Nakamoto's."""
-    if split.q >= 0.5:
-        raise ValueError(f"z0_sufficient requires q < 0.5, got q={split.q}")
+    _check_args(split)
     psi = _psi(split)
     if psi <= 0.0:
         raise ValueError(f"decay-rate gap must be positive, got {psi} at q={split.q}")
@@ -170,8 +154,7 @@ def z0_sharp(split: race.HashSplit) -> int:
     of _Z0_WINDOW good ranks has closed, the next block doubles the
     ranks covered.
     """
-    if split.q >= 0.5:
-        raise ValueError(f"z0_sharp requires q < 0.5, got q={split.q}")
+    _check_args(split)
     last_bad, lo, hi = 1, 2, _Z0_WINDOW + 2
     while True:
         w = np.arange(lo, hi)
@@ -194,10 +177,7 @@ def kappa_threshold(split: race.HashSplit, z: int) -> float:
     strictly from +inf to 0, so plain bisection is safe.  kappa(2) =
     1/(2q) - 1 exactly, and kappa(z) increases to p/q.
     """
-    if z < 2:
-        raise ValueError(f"kappa_threshold requires z >= 2, got {z}")
-    if split.q >= 0.5:
-        raise ValueError(f"kappa_threshold requires q < 0.5, got q={split.q}")
+    _check_args(split, z, least=2)
     target = split.lam / (1.0 - split.lam)
 
     def lhs(kappa):

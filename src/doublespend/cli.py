@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: prob, conditional, confirmations, table, simulate, curve.
+``simulate --kappa`` conditions every trial on that observed kappa exactly.
 Exit codes: 0 success, 1 statistical-check failure, 2 domain error
-(bad input such as a non-positive grid step, or a value the library
-cannot converge on), 3 I/O error.  ``curve`` and every ``table`` compute
-all their rows before they open --out, so an error leaves an existing
-file untouched.
+(bad input such as a non-positive grid step or a kappa that is not
+positive and finite, or a value the library cannot converge on), 3 I/O
+error.  ``curve`` and every ``table`` compute all their rows before they
+open --out, so an error leaves an existing file untouched.
 """
 
 import argparse
@@ -60,9 +61,6 @@ def cmd_prob(args):
     if args.method == "exact":
         value = race.attacker_success_closed(split, args.z)
         how = "closed form, regularized incomplete beta"
-    elif args.method == "sum":
-        value = race.attacker_success_sum(split, args.z)
-        how = "exact finite sum"
     elif args.method == "nakamoto":
         value = race.nakamoto_probability(split, args.z)
         how = "Nakamoto approximation (Poisson at the expected time)"
@@ -190,7 +188,6 @@ def cmd_simulate(args):
         z=args.z,
         mode=args.mode,
         kappa=args.kappa,
-        kappa_window=args.window,
     )
     result = sim.estimate_success(split, net, config)
     if args.kappa is not None:
@@ -241,7 +238,7 @@ def build_parser():
     p.add_argument("--z", type=int, required=True, help="confirmations")
     p.add_argument(
         "--method",
-        choices=["exact", "sum", "nakamoto", "asymptotic"],
+        choices=["exact", "nakamoto", "asymptotic"],
         default="exact",
     )
     p.set_defaults(func=cmd_prob)
@@ -293,7 +290,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["hybrid", "full_walk"], default="hybrid")
     p.add_argument("--kappa", type=float, help="condition on this deviation factor")
-    p.add_argument("--window", type=float, default=0.05)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("curve", help="P(z, kappa) series for plotting, as CSV")
@@ -312,10 +308,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (sim.ConditioningError, specfun.ConvergenceError) as exc:
+    except (ValueError, OverflowError, specfun.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -28,11 +28,9 @@ __all__ = [
     "HashSplit",
     "NetworkParams",
     "RaceQuery",
-    "MAX_SUM_Z",
     "MAX_CONFIRMATIONS",
     "catchup_probability",
     "negbin_pmf",
-    "attacker_success_sum",
     "attacker_success_closed",
     "nakamoto_probability",
     "conditional_probability",
@@ -42,11 +40,6 @@ __all__ = [
     "kappa_from_times",
     "confirmations_required",
 ]
-
-# The finite sum is trusted (and kept as an oracle) only up to this z;
-# beyond it the signed log-space differences lose precision and only the
-# closed form is exposed.
-MAX_SUM_Z = 200
 
 # Guard for the confirmation solver; q too close to 0.5 for the risk asked.
 MAX_CONFIRMATIONS = 10_000_000
@@ -181,35 +174,6 @@ def negbin_pmf(split: HashSplit, n: int, k: int) -> float:
         + k * math.log(split.q)
         + specfun.log_binomial(k + n - 1, k)
     )
-
-
-def attacker_success_sum(split: HashSplit, z: int) -> float:
-    """Exact success probability by the finite sum
-    1 - sum_{k<z} (p^z q^k - q^z p^k) C(k+z-1, k).
-
-    Each term is a signed difference of two log-space exponentials,
-    evaluated with expm1 so nothing cancels.  Only valid up to
-    MAX_SUM_Z; the closed form is authoritative above that.
-    """
-    _check_count("z", z, 0)
-    if z == 0:
-        return 1.0
-    if z > MAX_SUM_Z:
-        raise ValueError(
-            f"finite sum is only trustworthy for z <= {MAX_SUM_Z}; "
-            f"use attacker_success_closed for z={z}"
-        )
-    if split.q == 0.5:
-        return 1.0
-    lq = math.log(split.q)
-    lp = math.log(split.p)
-    log_ratio = lp - lq  # > 0
-    terms = []
-    for k in range(z):
-        lc = specfun.log_binomial(k + z - 1, k)
-        # p^z q^k C - q^z p^k C  ==  q^z p^k C * (exp((z-k) log(p/q)) - 1)
-        terms.append(math.exp(z * lq + k * lp + lc) * math.expm1((z - k) * log_ratio))
-    return specfun._clamp01(1.0 - math.fsum(terms))
 
 
 def attacker_success_closed(split: HashSplit, z: int) -> float:

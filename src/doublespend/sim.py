@@ -5,12 +5,16 @@ z-th honest block is sampled exactly (Gamma race time, Poisson attacker
 production), then the residual catch-up race is either resolved
 analytically by one Bernoulli draw ("hybrid" mode) or walked in runs
 until the attacker erases the deficit or falls deficit_cap blocks behind
-("full_walk" mode).
+("full_walk" mode).  Conditioned on an observed kappa, the race time is
+fixed at kappa z tau0/p, so only the attacker's Poisson(kappa z q/p)
+block count is drawn and every trial counts.
 
-Reproducibility contract, stream version 2: batch b of a run draws from a
+Reproducibility contract, stream version 3: batch b of a run draws from a
 Philox stream seeded by SeedSequence(seed, spawn_key=(b,)), so results are
-bit-identical for a given (seed, config).  v2 draws one Gamma variate per
-race and one geometric variate per walk round; v1 streams are not reproduced.
+bit-identical for a given (seed, config).  Unconditioned runs draw one Gamma
+variate per race and one geometric variate per walk round, exactly as in
+v2; kappa-conditioned runs draw no Gamma variate, so only their streams
+differ from v2.  v1 streams are not reproduced.
 """
 
 import math
@@ -19,12 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .race import HashSplit, NetworkParams
+from .race import HashSplit, NetworkParams, _check_count, _check_positive
 
 __all__ = [
     "SimConfig",
     "SimResult",
-    "ConditioningError",
     "sample_race",
     "estimate_success",
     "estimate_negbin",
@@ -33,14 +36,9 @@ __all__ = [
 ]
 
 BATCH = 1 << 14
-STREAM_VERSION = 2
-MIN_RETAINED = 1000
+STREAM_VERSION = 3
 
 _MODES = ("hybrid", "full_walk")
-
-
-class ConditioningError(RuntimeError):
-    """Too few trials fell inside the kappa conditioning window."""
 
 
 @dataclass(frozen=True)
@@ -51,24 +49,15 @@ class SimConfig:
     mode: str = "hybrid"
     deficit_cap: int = 100
     kappa: Optional[float] = None
-    kappa_window: float = 0.05
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.z < 1:
-            raise ValueError(f"z must be >= 1, got {self.z}")
+        _check_count("trials", self.trials, 1)
+        _check_count("z", self.z, 1)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.deficit_cap < 1:
-            raise ValueError(f"deficit_cap must be >= 1, got {self.deficit_cap}")
+        _check_count("deficit_cap", self.deficit_cap, 1)
         if self.kappa is not None:
-            if self.kappa <= 0.0:
-                raise ValueError(f"kappa must be positive, got {self.kappa}")
-            if self.kappa_window <= 0.0:
-                raise ValueError(
-                    f"kappa_window must be positive, got {self.kappa_window}"
-                )
+            _check_positive("kappa", self.kappa)
 
 
 @dataclass(frozen=True)
@@ -88,8 +77,13 @@ def _batches(config):
         yield min(BATCH, config.trials - done), np.random.Generator(np.random.Philox(ss))
 
 
-def _race(split, net, z, rng, n):
-    """Race to the z-th honest block; returns (kappa_observed, attacker_blocks)."""
+def _race(split, net, z, rng, n, kappa=None):
+    """Race to the z-th honest block; returns (kappa_observed, attacker_blocks).
+
+    Given kappa, the race time is fixed, so only the attacker blocks are drawn.
+    """
+    if kappa is not None:
+        return np.full(n, kappa), rng.poisson(kappa * z * split.lam, size=n)
     s_z = rng.gamma(z, 1.0 / net.alpha, size=n)  # a sum of z Exp(alpha) times
     return split.p * s_z / (z * net.tau0), rng.poisson(net.alpha_prime * s_z)
 
@@ -113,9 +107,9 @@ def _walk(q, deficit, deficit_cap, rng):
     return won
 
 
-def _run_batch(split, net, z, mode, deficit_cap, rng, n):
+def _run_batch(split, net, z, mode, deficit_cap, rng, n, kappa=None):
     """Simulate n races; returns (kappa_observed, attacker_blocks, success)."""
-    kappa_obs, blocks = _race(split, net, z, rng, n)
+    kappa_obs, blocks = _race(split, net, z, rng, n, kappa)
     success = blocks >= z
     behind = np.nonzero(~success)[0]
     deficit = z - blocks[behind]
@@ -137,8 +131,7 @@ def sample_race(
     deficit_cap: int = 100,
 ):
     """Draw one race; returns (kappa_observed, attacker_blocks, success)."""
-    if z < 1:
-        raise ValueError(f"z must be >= 1, got {z}")
+    _check_count("z", z, 1)
     kappa_obs, blocks, success = _run_batch(split, net, z, mode, deficit_cap, rng, 1)
     return float(kappa_obs[0]), int(blocks[0]), bool(success[0])
 
@@ -148,44 +141,28 @@ def estimate_success(
 ) -> SimResult:
     """Empirical success frequency over config.trials independent races.
 
-    With kappa conditioning set, only trials whose observed kappa lands
-    within +-kappa_window of the target are retained and the conditional
-    frequency is reported.
+    With config.kappa set, every race is conditioned on exactly that
+    observed kappa and the conditional frequency is reported.
     """
-    conditioning = config.kappa is not None
     successes = 0
-    retained = 0
     sum_kappa = 0.0
     sum_blocks = 0.0
     for n, rng in _batches(config):
         kappa_obs, blocks, success = _run_batch(
-            split, net, config.z, config.mode, config.deficit_cap, rng, n
+            split, net, config.z, config.mode, config.deficit_cap, rng, n, config.kappa
         )
-        if conditioning:
-            keep = np.abs(kappa_obs - config.kappa) <= config.kappa_window
-            successes += int(success[keep].sum())
-            retained += int(keep.sum())
-            sum_kappa += float(kappa_obs[keep].sum())
-            sum_blocks += float(blocks[keep].sum())
-        else:
-            successes += int(success.sum())
-            retained += n
-            sum_kappa += float(kappa_obs.sum())
-            sum_blocks += float(blocks.sum())
-    if conditioning and retained < MIN_RETAINED:
-        raise ConditioningError(
-            f"only {retained} of {config.trials} trials fell within "
-            f"|kappa - {config.kappa}| <= {config.kappa_window}; "
-            f"need at least {MIN_RETAINED}"
-        )
-    p_hat = successes / retained
+        successes += int(success.sum())
+        sum_kappa += float(kappa_obs.sum())
+        sum_blocks += float(blocks.sum())
+    trials = config.trials
+    p_hat = successes / trials
     return SimResult(
         successes=successes,
-        trials=retained,
+        trials=trials,
         p_hat=p_hat,
-        std_err=math.sqrt(p_hat * (1.0 - p_hat) / retained),
-        mean_kappa=sum_kappa / retained,
-        mean_attacker_blocks=sum_blocks / retained,
+        std_err=math.sqrt(p_hat * (1.0 - p_hat) / trials),
+        mean_kappa=sum_kappa / trials,
+        mean_attacker_blocks=sum_blocks / trials,
     )
 
 

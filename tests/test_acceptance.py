@@ -20,7 +20,6 @@ from doublespend.asymptotics import (
 from doublespend.race import (
     HashSplit,
     attacker_success_closed,
-    attacker_success_sum,
     conditional_probability,
     confirmations_required,
     deviation_tail,
@@ -34,6 +33,7 @@ from reference_tables import (
     Q_COLS,
     SATOSHI3_PERCENT,
     SATOSHI6_PERCENT,
+    attacker_success_sum,
     exact_success_rational,
 )
 

@@ -159,6 +159,18 @@ class TestLeadingOrder:
             p_asymptotic(split(0.5), 10)
         with pytest.raises(ValueError):
             psn_asymptotic(split(0.5), 10)
+        with pytest.raises(ValueError):
+            conditional_asymptotic(split(0.5), 10, 0.5)
+
+    @pytest.mark.parametrize("z", [6.5, 6.0, True, "6", 0])
+    def test_rejects_non_integer_z(self, z):
+        # p_asymptotic(z=6.5) and p_asymptotic(z=True) used to return numbers
+        s = split(0.1)
+        for fn in (p_asymptotic, psn_asymptotic, p_bounds, psn_upper_bound):
+            with pytest.raises(ValueError):
+                fn(s, z)
+        with pytest.raises(ValueError):
+            conditional_asymptotic(s, z, 2.0)
 
 
 class TestConditionalAsymptotic:
@@ -220,9 +232,19 @@ class TestConditionalAsymptotic:
         label, value = conditional_asymptotic(s, 400, 9.0)
         assert label is RegimeLabel.at_p_over_q
         assert 0.45 < value < 0.55
-        # the variant flag changes only the vanishing correction term
-        _, linear = conditional_asymptotic(s, 400, 9.0, at_ratio_correction="linear")
-        assert abs(linear - 0.5) < abs(value - 0.5)
+
+    @pytest.mark.parametrize("q", [0.1, 0.3])
+    @pytest.mark.parametrize("z", [10**3, 10**4, 10**5])
+    def test_at_ratio_correction_rate(self, q, z):
+        # (P(z, p/q) - 1/2) sqrt(2 pi z) tends to 1/3 + q/(p-q), so the
+        # correction must be of order 1/sqrt(z); a 1/z correction misses
+        # P(z, p/q) here by about 1 on this scale
+        s = split(q)
+        kappa = s.p / s.q
+        label, value = conditional_asymptotic(s, z, kappa)
+        assert label is RegimeLabel.at_p_over_q
+        exact = race.conditional_probability(s, z, kappa)
+        assert abs(value - exact) * math.sqrt(2.0 * math.pi * z) <= 0.01
 
     def test_above_ratio_matches_exact_complement(self):
         # 1 - P is ~4e-76 here, so 1.0 - returned value cancels to zero in
@@ -263,8 +285,12 @@ class TestConditionalAsymptotic:
             conditional_asymptotic(split(0.1), 0, 1.0)
         with pytest.raises(ValueError):
             conditional_asymptotic(split(0.1), 10, 0.0)
-        with pytest.raises(ValueError):
-            conditional_asymptotic(split(0.1), 10, 2.0, at_ratio_correction="cubic")
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_rejects_non_finite_kappa(self, kappa):
+        # used to return (above_p_over_q, nan)
+        with pytest.raises(ValueError, match="kappa"):
+            conditional_asymptotic(split(0.1), 10, kappa)
 
 
 class TestBounds:
@@ -407,3 +433,9 @@ class TestKappaThreshold:
             kappa_threshold(split(0.1), 1)
         with pytest.raises(ValueError):
             kappa_threshold(split(0.5), 5)
+
+    @pytest.mark.parametrize("z", [2.5, 6.0, True, "6"])
+    def test_rejects_non_integer_z(self, z):
+        # z = 2.5 used to raise TypeError from range()
+        with pytest.raises(ValueError):
+            kappa_threshold(split(0.1), z)

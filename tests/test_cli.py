@@ -245,12 +245,28 @@ class TestSimulate:
         assert main(["simulate", "--q", "0.5", "--z", "3", "--trials", "1000"]) == 0
         assert "p_hat=1.0000000" in capsys.readouterr().out
 
-    def test_conditioning_failure_is_domain_error(self, capsys):
+    def test_far_kappa_tail_succeeds(self, capsys):
+        # kappa = 6 at z = 6 left too few trials in the old conditioning
+        # window and exited 2; exact conditioning keeps every trial
         code = main(
-            ["simulate", "--q", "0.1", "--z", "6", "--trials", "50000",
-             "--kappa", "6.0"]
+            ["simulate", "--q", "0.1", "--z", "6", "--kappa", "6.0",
+             "--trials", "200000", "--seed", "1"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "trials=200000" in out
+        z_score = float(out.split("z_score=")[1])
+        assert abs(z_score) <= 5.0
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf"])
+    def test_non_finite_kappa_is_domain_error(self, capsys, kappa):
+        code = main(
+            ["simulate", "--q", "0.1", "--z", "6", "--trials", "1000",
+             "--kappa", kappa]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_config_is_domain_error(self, capsys):
         assert main(["simulate", "--q", "0.1", "--z", "0", "--trials", "10"]) == 2

@@ -14,7 +14,6 @@ from doublespend.race import (
     NetworkParams,
     RaceQuery,
     attacker_success_closed,
-    attacker_success_sum,
     catchup_probability,
     conditional_probability,
     confirmations_required,
@@ -26,7 +25,7 @@ from doublespend.race import (
     recover_p_by_quadrature,
 )
 
-from reference_tables import exact_success_rational
+from reference_tables import MAX_SUM_Z, attacker_success_sum, exact_success_rational
 
 
 def split(q):
@@ -222,7 +221,7 @@ class TestSuccessProbability:
 
     def test_sum_rejects_untrusted_range(self):
         with pytest.raises(ValueError):
-            attacker_success_sum(split(0.3), race.MAX_SUM_Z + 1)
+            attacker_success_sum(split(0.3), MAX_SUM_Z + 1)
 
     def test_closed_form_deep_tail(self):
         # z = 539 at q = 0.45 sits right at the 0.1% confirmation boundary

@@ -1,5 +1,5 @@
 """Monte-Carlo oracle tests: agreement with the analytic formulas,
-determinism, and conditioning behaviour."""
+determinism, and exact kappa conditioning."""
 
 import math
 import tracemalloc
@@ -9,7 +9,7 @@ import pytest
 
 from doublespend import race, sim
 from doublespend.race import HashSplit, NetworkParams
-from doublespend.sim import ConditioningError, SimConfig, estimate_negbin, estimate_success, sample_race
+from doublespend.sim import SimConfig, SimResult, estimate_negbin, estimate_success, sample_race
 
 
 def split(q):
@@ -38,8 +38,19 @@ class TestSimConfig:
             SimConfig(trials=10, seed=0, z=6, deficit_cap=0)
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=0, z=6, kappa=-1.0)
+
+    @pytest.mark.parametrize("field", ["trials", "z", "deficit_cap"])
+    @pytest.mark.parametrize("value", [2.5, 6.0, True, "6"])
+    def test_rejects_non_integer_counts(self, field, value):
+        # z = 2.5 used to run and return a probability
+        kwargs = {"trials": 10, "seed": 0, "z": 6, field: value}
         with pytest.raises(ValueError):
-            SimConfig(trials=10, seed=0, z=6, kappa=1.0, kappa_window=0.0)
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_non_finite_kappa(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            SimConfig(trials=10, seed=0, z=6, kappa=kappa)
 
 
 class TestSampleRace:
@@ -137,37 +148,71 @@ class TestEstimateSuccess:
         assert hits >= 95
 
     def test_conditional_estimate(self):
-        # conditioning retains kappa in [1.95, 2.05]; compare against the
-        # window-averaged analytic value, not the midpoint alone
+        # every trial is conditioned on kappa exactly, so the estimate is
+        # unbiased for P(z, kappa) itself and no trial is dropped
         q, z, kappa = 0.1, 3, 2.0
         s = split(q)
         cfg = SimConfig(trials=2_000_000, seed=77, z=z, kappa=kappa)
         result = estimate_success(s, net_for(q), cfg)
-        from scipy.integrate import quad
-        num, _ = quad(
-            lambda k: race.conditional_probability(s, z, k) * race.kappa_density(z, k),
-            kappa - cfg.kappa_window, kappa + cfg.kappa_window,
-        )
-        den, _ = quad(
-            lambda k: race.kappa_density(z, k),
-            kappa - cfg.kappa_window, kappa + cfg.kappa_window,
-        )
-        target = num / den
-        assert target == pytest.approx(
-            race.conditional_probability(s, z, kappa), rel=0.02
-        )
-        assert abs(result.p_hat - target) <= 4.0 * result.std_err
-        assert abs(result.mean_kappa - kappa) <= cfg.kappa_window
+        assert result.trials == cfg.trials
+        exact = race.conditional_probability(s, z, kappa)
+        assert abs(result.p_hat - exact) <= 4.0 * result.std_err
+        assert result.mean_kappa == pytest.approx(kappa, rel=1e-12)
 
-    def test_conditioning_error_when_window_unreachable(self):
-        # kappa = 6 at z = 6 has tail mass ~2e-10; 10^5 trials cannot
-        # populate the window
-        with pytest.raises(ConditioningError):
-            estimate_success(
-                split(0.1),
-                net_for(0.1),
-                SimConfig(trials=100_000, seed=0, z=6, kappa=6.0),
-            )
+    @pytest.mark.parametrize(
+        "q,z,kappa,mode,trials,seed",
+        [
+            (0.1, 6, 1.8, "hybrid", 1_000_000, 18),
+            (0.3, 6, 0.5, "hybrid", 1_000_000, 5),
+            (0.3, 6, 3.0, "hybrid", 1_000_000, 30),
+            (0.3, 6, 1.5, "full_walk", 200_000, 15),
+        ],
+    )
+    def test_conditional_matches_exact(self, q, z, kappa, mode, trials, seed):
+        s = split(q)
+        cfg = SimConfig(trials=trials, seed=seed, z=z, mode=mode, kappa=kappa)
+        result = estimate_success(s, net_for(q), cfg)
+        assert result.trials == trials
+        exact = race.conditional_probability(s, z, kappa)
+        assert abs(result.p_hat - exact) <= 4.0 * result.std_err
+
+    def test_far_kappa_tail_keeps_every_trial(self):
+        # kappa = 6 at z = 6 has tail mass ~2e-10, so a window around it
+        # kept almost no trials; exact conditioning keeps them all
+        q, z, kappa = 0.1, 6, 6.0
+        s = split(q)
+        result = estimate_success(
+            s, net_for(q), SimConfig(trials=100_000, seed=0, z=z, kappa=kappa)
+        )
+        assert result.trials == 100_000
+        exact = race.conditional_probability(s, z, kappa)
+        assert abs(result.p_hat - exact) <= 5.0 * result.std_err
+
+    @pytest.mark.parametrize(
+        "q,mode,trials,seed,expected",
+        [
+            (
+                0.1, "hybrid", 200_000, 42,
+                SimResult(successes=105, trials=200000, p_hat=0.000525,
+                          std_err=5.122130294125677e-05,
+                          mean_kappa=0.9997160754496344,
+                          mean_attacker_blocks=0.667865),
+            ),
+            (
+                0.3, "full_walk", 50_000, 4,
+                SimResult(successes=7799, trials=50000, p_hat=0.15598,
+                          std_err=0.0016226536266252265,
+                          mean_kappa=0.9989197931642825,
+                          mean_attacker_blocks=2.57138),
+            ),
+        ],
+    )
+    def test_unconditioned_streams_pinned(self, q, mode, trials, seed, expected):
+        # the stream version 2 results: version 3 changed only
+        # kappa-conditioned runs and keeps these bit for bit
+        assert sim.STREAM_VERSION == 3
+        cfg = SimConfig(trials=trials, seed=seed, z=6, mode=mode)
+        assert estimate_success(split(q), net_for(q), cfg) == expected
 
     def test_hybrid_deep_race(self):
         q, z = 0.45, 539

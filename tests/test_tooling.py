@@ -2,21 +2,25 @@
 
 ``perfbench/tracer.py`` lists library functions by module and
 ``perfbench/worker.py`` rewraps ``HashSplit.from_attacker_share`` as a
-classmethod; a rename in ``src/`` would otherwise only show up as a
-failed traced run.  The tracer file is parsed, not imported, so nothing
+classmethod, builds ``sim.SimConfig`` by keyword and reads fields of the
+``SimResult``; a rename in ``src/`` would otherwise only show up as a
+failed benchmark run.  Both files are parsed, not imported, so nothing
 is written under ``perfbench/``.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
 
 import pytest
 
-from doublespend import race, specfun
+from doublespend import race, sim, specfun
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKER = PERFBENCH / "worker.py"
 
 
 def traced_functions():
@@ -42,3 +46,45 @@ def test_wrapped_entry_points():
     assert isinstance(inspect.getattr_static(race.HashSplit, "from_attacker_share"), classmethod)
     assert callable(race.NetworkParams.for_split)
     assert issubclass(specfun.ConvergenceError, ArithmeticError)
+
+
+def is_call_to(node, module, name):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == module
+    )
+
+
+def test_worker_simulator_contract():
+    if not WORKER.exists():
+        pytest.skip("perfbench/ is not next to the tests")
+    keywords, reads = set(), set()
+    for func in ast.walk(ast.parse(WORKER.read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(func))
+        keywords |= {
+            kw.arg for n in nodes if is_call_to(n, "sim", "SimConfig") for kw in n.keywords
+        }
+        results = {
+            t.id
+            for n in nodes
+            if isinstance(n, ast.Assign) and is_call_to(n.value, "sim", "estimate_success")
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        reads |= {
+            n.attr
+            for n in nodes
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name)
+            and n.value.id in results
+        }
+    assert keywords and reads, "worker.py no longer builds a SimConfig and reads its result"
+    init_fields = {f.name for f in dataclasses.fields(sim.SimConfig) if f.init}
+    result_fields = {f.name for f in dataclasses.fields(sim.SimResult)}
+    assert keywords <= init_fields, keywords - init_fields
+    assert reads <= result_fields, reads - result_fields
