@@ -41,6 +41,13 @@ STREAM_VERSION = 3
 _MODES = ("hybrid", "full_walk")
 
 
+def _check_walk(mode, deficit_cap):
+    """Reject an unknown catch-up mode or a deficit cap below one."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    _check_count("deficit_cap", deficit_cap, 1)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     trials: int
@@ -53,9 +60,7 @@ class SimConfig:
     def __post_init__(self):
         _check_count("trials", self.trials, 1)
         _check_count("z", self.z, 1)
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        _check_count("deficit_cap", self.deficit_cap, 1)
+        _check_walk(self.mode, self.deficit_cap)
         if self.kappa is not None:
             _check_positive("kappa", self.kappa)
 
@@ -132,6 +137,7 @@ def sample_race(
 ):
     """Draw one race; returns (kappa_observed, attacker_blocks, success)."""
     _check_count("z", z, 1)
+    _check_walk(mode, deficit_cap)
     kappa_obs, blocks, success = _run_batch(split, net, z, mode, deficit_cap, rng, 1)
     return float(kappa_obs[0]), int(blocks[0]), bool(success[0])
 
@@ -170,8 +176,15 @@ def estimate_negbin(split: HashSplit, z: int, config: SimConfig) -> np.ndarray:
     """Histogram of the attacker block count at the z-th honest block.
 
     Returns counts indexed by k, length at least z + 31; the law is
-    independent of the network time scale so tau0 = 1 is used.
+    independent of the network time scale so tau0 = 1 is used.  Only the
+    trial count and seed of ``config`` are used: its z must equal ``z``,
+    and a kappa-conditioned config is rejected, since the histogram is of
+    the unconditioned race.
     """
+    if config.z != z:
+        raise ValueError(f"config.z={config.z} does not match z={z}")
+    if config.kappa is not None:
+        raise ValueError("estimate_negbin draws unconditioned races; config.kappa must be None")
     net = NetworkParams.for_split(split, tau0=1.0)
     counts = np.zeros(z + 31, dtype=np.int64)
     for n, rng in _batches(config):

@@ -23,7 +23,7 @@ with its prefactor assembled in log space).
 import math
 
 import numpy as np
-from scipy import special
+import scipy.special as special
 from scipy.special import cython_special
 
 __all__ = [

@@ -2,8 +2,9 @@
 
 Each value holds to 1e-12 relative error, or 1e-300 absolute where the
 reference is below 1e-300.  The points are where P_SN used to cancel,
-where its solver used to bisect over a curve that was not monotone, and
-where the incomplete gamma used to hit its iteration cap.
+where its solver used to bisect over a curve that was not monotone,
+where the incomplete gamma used to hit its iteration cap, and the grid on
+which the quadrature over kappa used to miss P(z) (by up to 0.92 at z = 2000).
 """
 
 import math
@@ -24,12 +25,12 @@ def split(q):
     return HashSplit.from_attacker_share(q)
 
 
-def assert_close(got, ref):
+def assert_close(got, ref, rel="1e-12"):
     ref = mp.mpf(ref)
     if ref < mp.mpf("1e-300"):
         assert abs(got - ref) <= mp.mpf("1e-300"), (got, ref)
     else:
-        assert abs(got - ref) <= mp.mpf("1e-12") * ref, (got, ref)
+        assert abs(got - ref) <= mp.mpf(rel) * ref, (got, ref)
 
 
 def nakamoto_mp(q, z):
@@ -163,3 +164,32 @@ def test_log_success_closed_array(q):
 def test_z0_sharp_near_half():
     s = split(0.499)
     assert 2 <= asymptotics.z0_sharp(s) <= asymptotics.z0_sufficient(s)
+
+
+def success_mp(q, z):
+    """P(z) = I_{4pq}(z, 1/2) = 2 P[Binomial(2z - 1, q) >= z] in mpmath: a sum
+    of positive terms whose ratio is at most q/p, so nothing cancels."""
+    with mp.workdps(DPS):
+        q = mp.mpf(q)
+        p = 1 - q
+        n = 2 * z - 1
+        term = mp.exp(mp.loggamma(n + 1) - mp.loggamma(z + 1) - mp.loggamma(z)
+                      + z * mp.log(q) + (z - 1) * mp.log(p))
+        total = term
+        for j in range(z, n):
+            term *= (n - j) * q / ((j + 1) * p)
+            total += term
+            if term < total * mp.mpf(10) ** -(DPS + 2):
+                break
+        return 2 * total
+
+
+@pytest.mark.parametrize("z", [1, 2, 6, 24, 100, 500, 2000])
+@pytest.mark.parametrize("q", [0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.5])
+def test_quadrature_recovers_p(q, z):
+    got = race.recover_p_by_quadrature(split(q), z)
+    if q == 0.5:
+        assert got == 1.0
+    # the logs of f_z(kappa) and P(z, kappa) are sums of terms of size
+    # z ln z, whose rounding costs about 1e-12 at z = 2000
+    assert_close(got, success_mp(q, z), rel="1e-11")

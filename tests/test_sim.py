@@ -72,6 +72,17 @@ class TestSampleRace:
         with pytest.raises(ValueError):
             sample_race(split(0.3), net_for(0.3), 0, rng)
 
+    @pytest.mark.parametrize(
+        "mode, cap", [("analytic", 100), ("hybrid", 0), ("full_walk", 0), ("full_walk", 2.5)]
+    )
+    def test_rejects_what_simconfig_rejects(self, mode, cap):
+        # mode="analytic", deficit_cap=0 used to run a full walk that always lost
+        rng = np.random.Generator(np.random.Philox(0))
+        with pytest.raises(ValueError):
+            SimConfig(trials=10, seed=0, z=6, mode=mode, deficit_cap=cap)
+        with pytest.raises(ValueError):
+            sample_race(split(0.3), net_for(0.3), 6, rng, mode=mode, deficit_cap=cap)
+
 
 class TestEstimateSuccess:
     @pytest.mark.parametrize("q,z", [(0.1, 1), (0.3, 5), (0.1, 6)])
@@ -288,6 +299,16 @@ class TestEstimateNegbin:
             empirical = counts[k] / total if k < counts.size else 0.0
             tv += abs(empirical - race.negbin_pmf(s, z, k))
         assert 0.5 * tv <= 5.0 / math.sqrt(trials)
+
+    def test_rejects_config_for_another_z(self):
+        # used to histogram z=6 silently for a config with z=20
+        with pytest.raises(ValueError, match="z"):
+            estimate_negbin(split(0.3), 6, SimConfig(trials=100, seed=13, z=20))
+
+    def test_rejects_kappa_conditioned_config(self):
+        # used to return the unconditioned law for a config with kappa=3.0
+        with pytest.raises(ValueError, match="kappa"):
+            estimate_negbin(split(0.3), 6, SimConfig(trials=100, seed=13, z=6, kappa=3.0))
 
     def test_geometric_head(self):
         counts = estimate_negbin(

@@ -1,4 +1,5 @@
-"""Guards for the names the benchmark harness in ``perfbench/`` wraps.
+"""Guards for the names the benchmark harness in ``perfbench/`` wraps, and
+for what importing the library loads.
 
 ``perfbench/tracer.py`` lists library functions by module and
 ``perfbench/worker.py`` rewraps ``HashSplit.from_attacker_share`` as a
@@ -12,10 +13,14 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import doublespend
 from doublespend import race, sim, specfun
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -88,3 +93,23 @@ def test_worker_simulator_contract():
     result_fields = {f.name for f in dataclasses.fields(sim.SimResult)}
     assert keywords <= init_fields, keywords - init_fields
     assert reads <= result_fields, reads - result_fields
+
+
+# scipy.integrate pulls in the other three and costs about half a second of
+# every cold start; the library needs only scipy.special
+HEAVY_MODULES = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+
+
+def test_import_leaves_heavy_scipy_unloaded():
+    # a fresh interpreter, since this one may have loaded them for other tests
+    package_root = str(Path(doublespend.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, doublespend, doublespend.cli; "
+        f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert not out.stdout.split(), out.stdout
