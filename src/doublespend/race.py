@@ -55,6 +55,10 @@ _QUAD_MIN_CELLS = 8
 _QUAD_NODES = 64
 _QUAD_MAX_ROUNDS = 10
 
+# From this z on, the first term that _log_kappa_density leaves out of
+# Stirling's series, 1/(1188 z^9), is below 1e-15.
+_STIRLING_MIN_Z = 22
+
 
 def _check_share(q):
     if not 0.0 < q <= 0.5:
@@ -241,8 +245,22 @@ def conditional_probability(split: HashSplit, z: int, kappa: float) -> float:
 
 
 def _log_kappa_density(z, kappa):
-    """ln f_z(kappa), elementwise if kappa is a numpy array."""
-    return z * math.log(z) - specfun.log_gamma(float(z)) + (z - 1) * np.log(kappa) - z * kappa
+    """ln f_z(kappa), elementwise if kappa is a numpy array.
+
+    Written as -z (kappa - 1 - ln kappa) - ln kappa + ln(z^z e^{-z} / Gamma(z)),
+    where no two terms of size z ln z cancel.  The last term is Stirling's
+    ln(z / 2 pi) / 2 - r(z) with r(z) = 1/(12z) - 1/(360z^3) + 1/(1260z^5)
+    - 1/(1680z^7) from _STIRLING_MIN_Z on, and taken from lgamma below it.
+    """
+    log_kappa = np.log(kappa)
+    if z >= _STIRLING_MIN_Z:
+        w = 1.0 / z
+        w2 = w * w
+        remainder = w * (1 / 12 - w2 * (1 / 360 - w2 * (1 / 1260 - w2 / 1680)))
+        norm = 0.5 * math.log(z / (2.0 * math.pi)) - remainder
+    else:
+        norm = z * math.log(z) - z - specfun.log_gamma(float(z))
+    return norm - z * (kappa - 1.0 - log_kappa) - log_kappa
 
 
 def kappa_density(z: int, kappa: float) -> float:
@@ -288,11 +306,11 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
     that sum, so it keeps its relative accuracy below 1e-300 until it
     underflows.
 
-    Measured against 40-digit mpmath P(z) = I_{4pq}(z, 1/2) for q in
-    [0.001, 0.499]: within 8e-13 relative up to z = 2000 and 1.1e-11 at
-    z = 5000.  The error grows with z because ln f_z(kappa) and
-    ln P(z, kappa) are sums of terms of size z ln z; fed 40-digit values
-    of g, the same rule is within 5e-14.
+    Measured against 40-digit mpmath P(z) = I_{4pq}(z, 1/2) at 25 values
+    of q in [0.001, 0.499]: within 7e-13 relative up to z = 1000,
+    1.1e-12 at z = 2000 and 3e-13 at z = 5000.  What error there is
+    comes from ln P(z, kappa); with 40-digit values of it, the same rule
+    is within 3e-14 at z = 2000.
     """
     _check_count("z", z, 1)
     if split.q == 0.5:
@@ -326,14 +344,56 @@ def kappa_from_times(net: NetworkParams, split: HashSplit, z: int, tau1: float) 
     return split.p * tau1 / (z * net.tau0)
 
 
+def _approx_erfcx(x):
+    """e^{x^2} erfc(x) for x >= 0, at most 21% low, by Komatsu's lower bound
+    2 / (sqrt(pi) (x + sqrt(x^2 + 2))); its first two terms at large x are exact."""
+    return 2.0 / (math.sqrt(math.pi) * (x + math.sqrt(x * x + 2.0)))
+
+
+def _asymptotic_start(split, risk, use_nakamoto):
+    """The rank at which the paper's asymptotics, to next order, put the
+    crossing of ``risk``; in [1, MAX_CONFIRMATIONS].
+
+    Both probabilities behave as a(z) e^{-c z}.  For the closed form
+    c = -ln s and a(z) = erfcx(sqrt((1-s) z)), which tends to the paper's
+    1 / sqrt(pi (1-s) z).  For Nakamoto's, with lam = q/p,
+    c = lam - 1 - ln lam, and the two parts of
+    P_SN(z) = P[Poisson(z lam) >= z] + e^{-c z} P[Poisson(z) < z] give
+    a(z) = erfcx((1-lam) sqrt(z/2)) / 2 + 1/2 - 1 / (3 sqrt(2 pi z)),
+    which tends to the paper's 1/2.  The rank solves
+    z = ln(a(z) / risk) / c, by three fixed-point steps from z = 1.
+    """
+    lam, s = split.lam, split.s
+    if use_nakamoto:
+        c = lam - 1.0 - math.log(lam)
+
+        def a(z):
+            above = 0.5 * _approx_erfcx((1.0 - lam) * math.sqrt(0.5 * z))
+            return above + 0.5 - 1.0 / (3.0 * math.sqrt(2.0 * math.pi * z))
+    else:
+        c = -math.log(s)
+
+        def a(z):
+            return _approx_erfcx(math.sqrt((1.0 - s) * z))
+    if c <= 0.0:  # q so close to 1/2 that the decay rate rounds to 0
+        return MAX_CONFIRMATIONS
+    z = 1.0
+    for _ in range(3):
+        z = min(max(1.0, math.log(a(z) / risk) / c), MAX_CONFIRMATIONS - 1)
+    return int(z) + 1
+
+
 def confirmations_required(
     split: HashSplit, risk: float, use_nakamoto: bool = False
 ) -> int:
     """Smallest z >= 1 with success probability strictly below ``risk``.
 
-    Doubling search then bisection on the monotone-decreasing
-    probability.  Uses the closed form by default, Nakamoto's
-    approximation when ``use_nakamoto`` is set.
+    The search starts where the paper's asymptotics cross ``risk`` (see
+    _asymptotic_start), gallops from there in steps of 1, 2, 4, ...
+    until it brackets the crossing, and bisects the bracket.  Both
+    probabilities decrease in z, so the answer does not depend on the
+    start.  Uses the closed form by default, Nakamoto's approximation
+    when ``use_nakamoto`` is set.
     """
     if not 0.0 < risk < 1.0:
         raise ValueError(f"risk must lie strictly between 0 and 1, got {risk}")
@@ -343,16 +403,25 @@ def confirmations_required(
             "at q = 0.5 the attack always succeeds"
         )
     prob = nakamoto_probability if use_nakamoto else attacker_success_closed
-    hi = 1
-    while prob(split, hi) >= risk:
-        hi *= 2
-        if hi > MAX_CONFIRMATIONS:
+    z = _asymptotic_start(split, risk, use_nakamoto)
+    # find lo < hi with prob(lo) >= risk > prob(hi); prob(0) = 1 >= risk
+    step = 1
+    if prob(split, z) < risk:
+        hi = z
+        lo = max(hi - step, 0)
+        while lo > 0 and prob(split, lo) < risk:
+            hi, step = lo, 2 * step
+            lo = max(hi - step, 0)
+    else:
+        lo = z
+        hi = min(lo + step, MAX_CONFIRMATIONS)
+        while lo < MAX_CONFIRMATIONS and prob(split, hi) >= risk:
+            lo, step = hi, 2 * step
+            hi = min(lo + step, MAX_CONFIRMATIONS)
+        if lo == MAX_CONFIRMATIONS:
             raise OverflowError(
                 f"no z <= {MAX_CONFIRMATIONS} reaches risk {risk} at q={split.q}"
             )
-    if hi == 1:
-        return 1
-    lo = hi // 2  # prob(lo) >= risk > prob(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if prob(split, mid) < risk:

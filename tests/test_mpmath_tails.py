@@ -3,8 +3,9 @@
 Each value holds to 1e-12 relative error, or 1e-300 absolute where the
 reference is below 1e-300.  The points are where P_SN used to cancel,
 where its solver used to bisect over a curve that was not monotone,
-where the incomplete gamma used to hit its iteration cap, and the grid on
-which the quadrature over kappa used to miss P(z) (by up to 0.92 at z = 2000).
+where the incomplete gamma used to hit its iteration cap, the grid on
+which the quadrature over kappa used to miss P(z) (by up to 0.92 at z = 2000),
+and the log density of kappa, whose terms used to cancel at large z.
 """
 
 import math
@@ -184,12 +185,23 @@ def success_mp(q, z):
         return 2 * total
 
 
-@pytest.mark.parametrize("z", [1, 2, 6, 24, 100, 500, 2000])
+@pytest.mark.parametrize("z", [1, 2, 6, 24, 100, 500, 2000, 5000])
 @pytest.mark.parametrize("q", [0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.5])
 def test_quadrature_recovers_p(q, z):
     got = race.recover_p_by_quadrature(split(q), z)
     if q == 0.5:
         assert got == 1.0
-    # the logs of f_z(kappa) and P(z, kappa) are sums of terms of size
-    # z ln z, whose rounding costs about 1e-12 at z = 2000
-    assert_close(got, success_mp(q, z), rel="1e-11")
+    assert_close(got, success_mp(q, z))
+
+
+@pytest.mark.parametrize("z", [1, 2, 21, 22, 100, 5000, 10**6])
+def test_log_kappa_density(z):
+    # within 8 standard deviations of the peak at kappa = 1, where
+    # z ln z - lgamma(z) + (z - 1) ln kappa - z kappa cancels to 7.8e-10 at z = 10^6
+    kappa = 1.0 + np.linspace(-8.0, 8.0, 33) / math.sqrt(z)
+    kappa = kappa[kappa > 0.0]
+    got = race._log_kappa_density(z, kappa)
+    with mp.workdps(DPS):
+        for k, value in zip(kappa, got):
+            ref = z * mp.log(z) - mp.loggamma(z) + (z - 1) * mp.log(k) - z * mp.mpf(k)
+            assert abs(value - ref) <= mp.mpf("1e-12"), (k, value, ref)

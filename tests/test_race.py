@@ -25,7 +25,12 @@ from doublespend.race import (
     recover_p_by_quadrature,
 )
 
-from reference_tables import MAX_SUM_Z, attacker_success_sum, exact_success_rational
+from reference_tables import (
+    MAX_SUM_Z,
+    attacker_success_sum,
+    confirmations_scan,
+    exact_success_rational,
+)
 
 
 def split(q):
@@ -475,3 +480,69 @@ class TestConfirmationsRequired:
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             confirmations_required(split(0.4999), 0.001)
+
+    def test_answer_just_below_the_guard(self):
+        # the answer is below the guard although a doubling bracket passes it
+        s = split(0.4999)
+        risk = attacker_success_closed(s, 9_000_000)
+        z = confirmations_required(s, risk)
+        assert z <= race.MAX_CONFIRMATIONS
+        assert attacker_success_closed(s, z) < risk <= attacker_success_closed(s, z - 1)
+
+    @given(st.floats(min_value=0.001, max_value=0.49),
+           st.floats(min_value=-15.0, max_value=math.log10(0.5)),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_doubling_search(self, q, log_risk, use_nakamoto):
+        s, risk = split(q), 10.0**log_risk
+        assert confirmations_required(s, risk, use_nakamoto) == confirmations_scan(
+            s, risk, use_nakamoto
+        )
+
+    @pytest.mark.parametrize("use_nakamoto", [False, True])
+    def test_equals_linear_scan_up_to_200(self, use_nakamoto):
+        prob = nakamoto_probability if use_nakamoto else attacker_success_closed
+        checked = 0
+        for q in (0.001, 0.05, 0.1, 0.2, 0.3, 0.35, 0.4):
+            s = split(q)
+            for risk in (0.5, 0.1, 1e-2, 1e-3, 1e-6, 1e-10, 1e-15):
+                z = next((z for z in range(1, 201) if prob(s, z) < risk), None)
+                if z is not None:
+                    assert confirmations_required(s, risk, use_nakamoto) == z, (q, risk)
+                    checked += 1
+        assert checked >= 40
+
+    # the corners of the benchmark's solver stream, and its deep-tail probe
+    # (z_SN = 61, pinned against mpmath in test_mpmath_tails)
+    EDGES = [(0.01, 1e-2), (0.01, 1e-12), (0.45, 1e-2), (0.45, 1e-12), (0.2, 1e-17)]
+
+    @pytest.mark.parametrize("q, risk", EDGES)
+    @pytest.mark.parametrize("use_nakamoto", [False, True])
+    def test_strict_crossing_at_edges(self, q, risk, use_nakamoto):
+        s = split(q)
+        prob = nakamoto_probability if use_nakamoto else attacker_success_closed
+        z = confirmations_required(s, risk, use_nakamoto)
+        assert prob(s, z) < risk
+        assert z == 1 or prob(s, z - 1) >= risk
+
+    @pytest.mark.parametrize("use_nakamoto", [False, True])
+    def test_probes_per_solve(self, monkeypatch, use_nakamoto):
+        # the solver must look its probes up in the module at call time,
+        # so that a wrapper set there (here, or by a tracer) sees each one
+        probes = []
+
+        def counted(fn):
+            def probe(s, z):
+                probes.append(z)
+                return fn(s, z)
+            return probe
+
+        for name in ("attacker_success_closed", "nakamoto_probability"):
+            monkeypatch.setattr(race, name, counted(getattr(race, name)))
+        solves = 0
+        for i in range(20):
+            for j in range(10):
+                q = 0.01 + 0.44 * (i + 0.5) / 20
+                confirmations_required(split(q), 10.0 ** (-2 - 10 * j / 9), use_nakamoto)
+                solves += 1
+        assert solves <= len(probes) <= 3 * solves
