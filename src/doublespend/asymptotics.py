@@ -148,16 +148,17 @@ def z0_sharp(split: race.HashSplit) -> int:
     exact one for every rank in [z, z + _Z0_WINDOW - 1].
 
     Comparison is done on logarithms so deep tails do not underflow to a
-    spurious tie; beyond the verification window the decay-rate
-    inequality log(1/s) < c(q/p) guarantees the ordering holds.  Both
-    logarithms are evaluated over a block of ranks at once; while no run
-    of _Z0_WINDOW good ranks has closed, the next block doubles the
-    ranks covered.
+    spurious tie.  Ranks from z0_sufficient on are proven good by the
+    decay-rate inequality log(1/s) < c(q/p) and are not evaluated; below
+    it both logarithms are evaluated over a block of ranks at once, and
+    while no run of _Z0_WINDOW good ranks has closed, the next block
+    doubles the ranks covered.
     """
     _check_args(split)
+    proven = z0_sufficient(split)
     last_bad, lo, hi = 1, 2, _Z0_WINDOW + 2
-    while True:
-        w = np.arange(lo, hi)
+    while lo < proven:
+        w = np.arange(lo, min(hi, proven))
         bad = w[race._log_nakamoto(split, w) >= race._log_success_closed(split, w)]
         # bad ranks, bracketed by the last one before lo and by hi, so each
         # gap minus one is a run of good ranks
@@ -166,6 +167,8 @@ def z0_sharp(split: race.HashSplit) -> int:
         if closed.size:
             return int(ranks[closed[0]]) + 1
         last_bad, lo, hi = int(ranks[-2]), hi, 2 * hi
+    # the blocks reached the proven rank, so every rank past last_bad is good
+    return last_bad + 1
 
 
 def kappa_threshold(split: race.HashSplit, z: int) -> float:

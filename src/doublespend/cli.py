@@ -3,10 +3,10 @@
 Subcommands: prob, conditional, confirmations, table, simulate, curve.
 ``simulate --kappa`` conditions every trial on that observed kappa exactly.
 Exit codes: 0 success, 1 statistical-check failure, 2 domain error
-(bad input such as a non-positive grid step or a kappa that is not
-positive and finite, or a value the library cannot converge on), 3 I/O
-error.  ``curve`` and every ``table`` compute all their rows before they
-open --out, so an error leaves an existing file untouched.
+(bad input such as a non-positive grid step, an empty grid or a kappa
+that is not positive and finite, or a value the library cannot converge
+on), 3 I/O error.  ``curve`` and every ``table`` compute all their rows
+before they open --out, so an error leaves an existing file untouched.
 """
 
 import argparse
@@ -159,7 +159,7 @@ def cmd_table(args):
     else:  # custom
         qs = [round(q, 10) for q in _frange(args.q_min, args.q_max, args.q_step)]
         table = ProbTable("z", "q", qs)
-        for z in range(args.z_min, args.z_max + 1, args.z_step):
+        for z in _frange(args.z_min, args.z_max, args.z_step):
             table.add_row(z, [race.attacker_success_closed(_split(q), z) for q in qs])
         table.write_csv(args.out, lambda v: f"{v:.7f}")
     return 0
@@ -173,8 +173,11 @@ def _write_rows(path, header, rows):
 
 
 def _frange(start, stop, step):
+    """The grid start, start + step, ... up to stop; integers stay integers."""
     if not step > 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
+    if not start <= stop:
+        raise ValueError(f"grid is empty: start {start} is above stop {stop}")
     n = int(round((stop - start) / step))
     return [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-12]
 
@@ -194,10 +197,15 @@ def cmd_simulate(args):
         analytic = race.conditional_probability(split, args.z, args.kappa)
     else:
         analytic = race.attacker_success_closed(split, args.z)
-    if result.std_err > 0.0:
-        z_score = (result.p_hat - analytic) / result.std_err
+    # the standard error under the analytic value, which a run with no
+    # successes (or no failures) does not estimate as zero
+    std_err = math.sqrt(analytic * (1.0 - analytic) / result.trials)
+    if std_err > 0.0:
+        z_score = (result.p_hat - analytic) / std_err
     else:
-        z_score = 0.0 if result.p_hat == analytic else math.inf
+        z_score = 0.0 if result.p_hat == analytic else math.copysign(
+            math.inf, result.p_hat - analytic
+        )
     print(f"p_hat={result.p_hat:.7f}")
     print(f"std_err={result.std_err:.7f}")
     print(f"successes={result.successes} trials={result.trials}")

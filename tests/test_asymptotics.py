@@ -77,11 +77,14 @@ def z0_sharp_scan(s):
     )
 
 
-def z0_with_bad_ranks(bad, window):
-    """z0_sharp with the window set to ``window`` and stand-in log
-    probabilities under which exactly the ranks in ``bad`` are bad."""
+def z0_with_bad_ranks(bad, window, proven):
+    """z0_sharp with the window set to ``window``, the proven rank
+    z0_sufficient set to ``proven``, and stand-in log probabilities under
+    which exactly the ranks in ``bad`` are bad."""
     bad = sorted(bad)
     with mock.patch.object(asymptotics, "_Z0_WINDOW", window), mock.patch.object(
+        asymptotics, "z0_sufficient", lambda s: proven
+    ), mock.patch.object(
         race, "_log_nakamoto", lambda s, w: np.where(np.isin(w, bad), 0.0, -1.0)
     ), mock.patch.object(race, "_log_success_closed", lambda s, w: np.zeros(len(w))):
         return z0_sharp(split(0.3))
@@ -349,6 +352,28 @@ class TestComparisonRank:
         z0 = z0_sufficient(s)
         for z in (z0, z0 + 1, 2 * z0):
             assert nakamoto_probability(s, z) < attacker_success_closed(s, z)
+        # z0_sharp takes every rank from z0_sufficient on as good unevaluated;
+        # the kernels it would have called agree well clear of rounding
+        for q in np.linspace(0.001, 0.49, 50):
+            s = split(float(q))
+            z0 = z0_sufficient(s)
+            w = np.arange(z0, z0 + 2 * asymptotics._Z0_WINDOW)
+            gap = race._log_success_closed(s, w) - race._log_nakamoto(s, w)
+            assert gap.min() > 0.5, q
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.42])
+    def test_sharp_rank_evaluates_only_below_sufficient(self, monkeypatch, q):
+        s = split(q)
+        real = race._log_success_closed
+        largest = []
+
+        def recording(split_, w):
+            largest.append(int(np.max(w)))
+            return real(split_, w)
+
+        monkeypatch.setattr(race, "_log_success_closed", recording)
+        assert z0_sharp(s) == z0_sharp_scan(s)
+        assert 0 < max(largest) < z0_sufficient(s)
 
     def test_sharp_rank_published_points(self):
         assert z0_sharp(split(0.2)) == 2
@@ -392,13 +417,35 @@ class TestComparisonRank:
         ],
     )
     def test_run_detection(self, bad, expected):
-        assert z0_with_bad_ranks(bad, 4) == expected
+        # a proven rank past every bad rank moves no answer, whether the
+        # run closes first (10**6) or the proven rank is reached first
+        for proven in (max(bad, default=1) + 1, 10**6):
+            assert z0_with_bad_ranks(bad, 4, proven) == expected
         assert first_settled_rank(lambda w: w in bad, 4) == expected
 
-    @given(st.integers(1, 8), st.sets(st.integers(2, 150), max_size=40))
-    def test_run_detection_matches_scan(self, window, bad):
-        assert z0_with_bad_ranks(bad, window) == first_settled_rank(
-            lambda w: w in bad, window
+    @pytest.mark.parametrize(
+        "bad, proven, expected",
+        [
+            ((2, 3, 5, 7, 9, 12), 10, 10),  # 12 is past the proven rank
+            ((2, 3), 2, 2),  # nothing below the proven rank is evaluated
+            ((2, 3), 1, 2),
+            ((2, 5), 6, 6),  # the proven rank ends the first block
+            ((2, 3, 8, 30), 25, 4),  # the run closes below the proven rank
+            ((2, 3, 5, 7, 9), 11, 10),  # the second block is cut at 11
+        ],
+    )
+    def test_run_detection_with_proven_rank(self, bad, proven, expected):
+        assert z0_with_bad_ranks(bad, 4, proven) == expected
+        assert first_settled_rank(lambda w: w in bad and w < proven, 4) == expected
+
+    @given(
+        st.integers(1, 8),
+        st.sets(st.integers(2, 150), max_size=40),
+        st.integers(1, 160),
+    )
+    def test_run_detection_matches_scan(self, window, bad, proven):
+        assert z0_with_bad_ranks(bad, window, proven) == first_settled_rank(
+            lambda w: w in bad and w < proven, window
         )
 
 

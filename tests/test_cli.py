@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from doublespend import asymptotics, cli, race, specfun
+from doublespend import asymptotics, cli, race, sim, specfun
 from doublespend.cli import ProbTable, main
 
 from reference_tables import KAPPA_ROWS, Q_COLS, SATOSHI3_PERCENT, SATOSHI6_PERCENT
@@ -194,11 +194,26 @@ class TestTable:
         )
         assert float(rows[3][3]) == pytest.approx(expected, abs=1e-7)
 
-    def test_custom_rejects_zero_step(self, tmp_path):
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--q-step", "0"],
+            ["--z-step", "0"],  # used to exit 2 with range()'s own message
+            ["--z-step", "-1"],  # used to write a header-only CSV
+            ["--z-min", "5", "--z-max", "2"],  # likewise
+            ["--q-min", "0.4", "--q-max", "0.1"],  # used to write no q columns
+        ],
+        ids=["q_step_0", "z_step_0", "z_step_negative", "z_max_below_min", "q_max_below_min"],
+    )
+    def test_custom_rejects_zero_step(self, tmp_path, capsys, grid):
         out = tmp_path / "c.csv"
-        code = main(["table", "--which", "custom", "--out", str(out), "--q-step", "0"])
+        code = main(["table", "--which", "custom", "--out", str(out), *grid])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+        if "step" in grid[0]:
+            assert "grid step must be positive" in err
 
     @pytest.mark.parametrize(
         "which, module, solver",
@@ -244,6 +259,26 @@ class TestSimulate:
     def test_even_split(self, capsys):
         assert main(["simulate", "--q", "0.5", "--z", "3", "--trials", "1000"]) == 0
         assert "p_hat=1.0000000" in capsys.readouterr().out
+
+    def test_no_successes_in_a_deep_tail_passes(self, capsys):
+        # 20000 trials at P = 9e-7 expect 0.018 successes; the sample
+        # standard error of zero successes used to give z_score=+inf, exit 1
+        code = main(["simulate", "--q", "0.1", "--z", "12", "--trials", "20000", "--seed", "3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "successes=0 " in out
+        assert abs(float(out.split("z_score=")[1])) < 1.0
+
+    def test_mismatch_fails_the_check(self, capsys, monkeypatch):
+        def off_by_far(split, net, config):
+            return sim.SimResult(
+                successes=500, trials=1000, p_hat=0.5, std_err=0.0158,
+                mean_kappa=1.0, mean_attacker_blocks=0.0,
+            )
+
+        monkeypatch.setattr(sim, "estimate_success", off_by_far)
+        assert main(["simulate", "--q", "0.1", "--z", "6", "--trials", "1000"]) == 1
+        assert float(capsys.readouterr().out.split("z_score=")[1]) > 5.0
 
     def test_far_kappa_tail_succeeds(self, capsys):
         # kappa = 6 at z = 6 left too few trials in the old conditioning
