@@ -9,15 +9,22 @@ until the attacker erases the deficit or falls deficit_cap blocks behind
 fixed at kappa z tau0/p, so only the attacker's Poisson(kappa z q/p)
 block count is drawn and every trial counts.
 
+Batches run concurrently, on up to one thread per usable CPU; numpy's
+samplers and ufuncs release the GIL while they fill a batch's arrays.
+Memory is O(n) per batch in flight, whatever z is.
+
 Reproducibility contract, stream version 3: batch b of a run draws from a
-Philox stream seeded by SeedSequence(seed, spawn_key=(b,)), so results are
-bit-identical for a given (seed, config).  Unconditioned runs draw one Gamma
+Philox stream seeded by SeedSequence(seed, spawn_key=(b,)), and per-batch
+sums are added up in batch order, so results are bit-identical for a given
+(seed, config) whatever the thread count.  Unconditioned runs draw one Gamma
 variate per race and one geometric variate per walk round, exactly as in
 v2; kappa-conditioned runs draw no Gamma variate, so only their streams
 differ from v2.  v1 streams are not reproduced.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,6 +87,22 @@ def _batches(config):
     for index, done in enumerate(range(0, config.trials, BATCH)):
         ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
         yield min(BATCH, config.trials - done), np.random.Generator(np.random.Philox(ss))
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_batches(config, fn):
+    """[fn(n, rng) for each batch], in batch order, on up to one thread per usable CPU."""
+    workers = min((config.trials + BATCH - 1) // BATCH, _usable_cpus())
+    if workers == 1:
+        return [fn(n, rng) for n, rng in _batches(config)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # each batch owns its stream
+        return list(pool.map(lambda batch: fn(*batch), _batches(config)))
 
 
 def _race(split, net, z, rng, n, kappa=None):
@@ -150,16 +173,20 @@ def estimate_success(
     With config.kappa set, every race is conditioned on exactly that
     observed kappa and the conditional frequency is reported.
     """
-    successes = 0
-    sum_kappa = 0.0
-    sum_blocks = 0.0
-    for n, rng in _batches(config):
+    def tally(n, rng):
         kappa_obs, blocks, success = _run_batch(
             split, net, config.z, config.mode, config.deficit_cap, rng, n, config.kappa
         )
-        successes += int(success.sum())
-        sum_kappa += float(kappa_obs.sum())
-        sum_blocks += float(blocks.sum())
+        return int(success.sum()), float(kappa_obs.sum()), float(blocks.sum())
+
+    successes = 0
+    sum_kappa = 0.0
+    sum_blocks = 0.0
+    # added in batch order one at a time: fsum(), or sum() from Python 3.12, rounds otherwise
+    for batch_successes, batch_kappa, batch_blocks in _map_batches(config, tally):
+        successes += batch_successes
+        sum_kappa += batch_kappa
+        sum_blocks += batch_blocks
     trials = config.trials
     p_hat = successes / trials
     return SimResult(
@@ -186,13 +213,8 @@ def estimate_negbin(split: HashSplit, z: int, config: SimConfig) -> np.ndarray:
     if config.kappa is not None:
         raise ValueError("estimate_negbin draws unconditioned races; config.kappa must be None")
     net = NetworkParams.for_split(split, tau0=1.0)
-    counts = np.zeros(z + 31, dtype=np.int64)
-    for n, rng in _batches(config):
-        _, blocks = _race(split, net, z, rng, n)
-        batch_counts = np.bincount(blocks, minlength=counts.size)
-        if batch_counts.size > counts.size:
-            counts = np.concatenate(
-                [counts, np.zeros(batch_counts.size - counts.size, dtype=np.int64)]
-            )
-        counts[: batch_counts.size] += batch_counts
+    parts = _map_batches(config, lambda n, rng: np.bincount(_race(split, net, z, rng, n)[1]))
+    counts = np.zeros(max(z + 31, *(part.size for part in parts)), dtype=np.int64)
+    for part in parts:
+        counts[: part.size] += part
     return counts

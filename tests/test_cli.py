@@ -306,6 +306,16 @@ class TestSimulate:
     def test_bad_config_is_domain_error(self, capsys):
         assert main(["simulate", "--q", "0.1", "--z", "0", "--trials", "10"]) == 2
 
+    def test_sampler_error_in_a_batch_thread_is_domain_error(self, capsys, monkeypatch):
+        # numpy's Poisson sampler rejects the rate in every batch thread
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
+        code = main(
+            ["simulate", "--q", "0.1", "--z", "6", "--kappa", "1e300", "--trials", "40000"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: lam value too large\n"
+
 
 class TestCurve:
     def test_monotone_series(self, tmp_path):

@@ -2,6 +2,7 @@
 determinism, and exact kappa conditioning."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -225,6 +226,20 @@ class TestEstimateSuccess:
         cfg = SimConfig(trials=trials, seed=seed, z=6, mode=mode)
         assert estimate_success(split(q), net_for(q), cfg) == expected
 
+    def test_kappa_conditioned_stream_pinned(self):
+        # a stream version 3 kappa-conditioned result over seven batches;
+        # mean_kappa pins the order in which the batch sums are added
+        assert sim.STREAM_VERSION == 3
+        q, z, kappa = 0.1, 6, 1.8
+        cfg = SimConfig(trials=100_000, seed=18, z=z, kappa=kappa)
+        result = estimate_success(split(q), net_for(q), cfg)
+        assert result == SimResult(successes=260, trials=100000, p_hat=0.0026,
+                                   std_err=0.00016103539983494311,
+                                   mean_kappa=1.8000000000000003,
+                                   mean_attacker_blocks=1.20888)
+        exact = race.conditional_probability(split(q), z, kappa)
+        assert abs(result.p_hat - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / cfg.trials)
+
     def test_hybrid_deep_race(self):
         q, z = 0.45, 539
         s = split(q)
@@ -247,6 +262,77 @@ class TestEstimateSuccess:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def force_workers(monkeypatch, cpus):
+    """Make the simulator see ``cpus`` usable CPUs; returns the pool sizes it opens."""
+    pools = []
+
+    class RecordingPool(sim.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+class TestThreadedBatches:
+    TRIALS = 3 * sim.BATCH + 17
+
+    @pytest.mark.parametrize(
+        "q,mode,kappa", [(0.3, "hybrid", None), (0.3, "full_walk", None), (0.1, "hybrid", 1.8)]
+    )
+    def test_bit_identical_to_serial(self, monkeypatch, q, mode, kappa):
+        cfg = SimConfig(trials=self.TRIALS, seed=123, z=6, mode=mode, kappa=kappa)
+        pools = force_workers(monkeypatch, 1)
+        serial = estimate_success(split(q), net_for(q), cfg)
+        assert pools == []
+        pools = force_workers(monkeypatch, 4)
+        threaded = estimate_success(split(q), net_for(q), cfg)
+        assert pools == [4]
+        assert threaded == serial
+
+    def test_results_in_batch_order(self, monkeypatch):
+        cfg = SimConfig(trials=self.TRIALS, seed=125, z=6)
+        first_draws = [rng.random() for _, rng in sim._batches(cfg)]
+        force_workers(monkeypatch, 4)
+        assert sim._map_batches(cfg, lambda n, rng: rng.random()) == first_draws
+
+    def test_negbin_bit_identical_to_serial(self, monkeypatch):
+        cfg = SimConfig(trials=self.TRIALS, seed=124, z=6)
+        force_workers(monkeypatch, 1)
+        serial = estimate_negbin(split(0.3), 6, cfg)
+        pools = force_workers(monkeypatch, 4)
+        threaded = estimate_negbin(split(0.3), 6, cfg)
+        assert pools == [4]
+        assert np.array_equal(threaded, serial)
+
+    def test_error_crosses_the_thread_boundary(self, monkeypatch):
+        pools = force_workers(monkeypatch, 64)  # no more threads than the 3 batches
+        before = threading.active_count()
+        estimate_success(split(0.1), net_for(0.1), SimConfig(trials=40_000, seed=1, z=6))
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="lam value too large"):
+            estimate_success(
+                split(0.1), net_for(0.1), SimConfig(trials=40_000, seed=1, z=6, kappa=1e300)
+            )
+        assert threading.active_count() == before
+        assert pools == [3, 3]
+
+    def test_memory_per_batch_in_flight(self, monkeypatch):
+        # two batches in flight at a time may hold twice one batch's arrays
+        force_workers(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            estimate_success(
+                split(0.45), net_for(0.45), SimConfig(trials=4 * sim.BATCH, seed=1, z=5000)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * 2**20
 
 
 WALK_CAP = 5
