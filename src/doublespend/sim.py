@@ -9,9 +9,11 @@ until the attacker erases the deficit or falls deficit_cap blocks behind
 fixed at kappa z tau0/p, so only the attacker's Poisson(kappa z q/p)
 block count is drawn and every trial counts.
 
-Batches run concurrently, on up to one thread per usable CPU; numpy's
-samplers and ufuncs release the GIL while they fill a batch's arrays.
-Memory is O(n) per batch in flight, whatever z is.
+Batches run concurrently, on up to one thread per CPU in the process's
+affinity set (a cgroup CPU quota is not read); numpy's samplers and
+ufuncs release the GIL while they fill a batch's arrays.  At most two
+batches per thread are submitted ahead, so memory is O(n) per batch in
+flight, whatever z is or how many batches a run has.
 
 Reproducibility contract, stream version 3: batch b of a run draws from a
 Philox stream seeded by SeedSequence(seed, spawn_key=(b,)), and per-batch
@@ -24,6 +26,7 @@ differ from v2.  v1 streams are not reproduced.
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -97,12 +100,20 @@ def _usable_cpus():
 
 
 def _map_batches(config, fn):
-    """[fn(n, rng) for each batch], in batch order, on up to one thread per usable CPU."""
+    """Yield fn(n, rng) for each batch, in batch order, on up to one thread per usable CPU.
+
+    At most two batches per thread are submitted ahead of the one yielded,
+    so what is held does not grow with the batch count.
+    """
     workers = min((config.trials + BATCH - 1) // BATCH, _usable_cpus())
-    if workers == 1:
-        return [fn(n, rng) for n, rng in _batches(config)]
     with ThreadPoolExecutor(max_workers=workers) as pool:  # each batch owns its stream
-        return list(pool.map(lambda batch: fn(*batch), _batches(config)))
+        pending = deque()
+        for n, rng in _batches(config):
+            pending.append(pool.submit(fn, n, rng))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _race(split, net, z, rng, n, kappa=None):
@@ -213,8 +224,9 @@ def estimate_negbin(split: HashSplit, z: int, config: SimConfig) -> np.ndarray:
     if config.kappa is not None:
         raise ValueError("estimate_negbin draws unconditioned races; config.kappa must be None")
     net = NetworkParams.for_split(split, tau0=1.0)
-    parts = _map_batches(config, lambda n, rng: np.bincount(_race(split, net, z, rng, n)[1]))
-    counts = np.zeros(max(z + 31, *(part.size for part in parts)), dtype=np.int64)
-    for part in parts:
+    counts = np.zeros(z + 31, dtype=np.int64)
+    for part in _map_batches(config, lambda n, rng: np.bincount(_race(split, net, z, rng, n)[1])):
+        if part.size > counts.size:
+            counts = np.pad(counts, (0, part.size - counts.size))
         counts[: part.size] += part
     return counts

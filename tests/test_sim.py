@@ -288,7 +288,6 @@ class TestThreadedBatches:
         cfg = SimConfig(trials=self.TRIALS, seed=123, z=6, mode=mode, kappa=kappa)
         pools = force_workers(monkeypatch, 1)
         serial = estimate_success(split(q), net_for(q), cfg)
-        assert pools == []
         pools = force_workers(monkeypatch, 4)
         threaded = estimate_success(split(q), net_for(q), cfg)
         assert pools == [4]
@@ -298,7 +297,7 @@ class TestThreadedBatches:
         cfg = SimConfig(trials=self.TRIALS, seed=125, z=6)
         first_draws = [rng.random() for _, rng in sim._batches(cfg)]
         force_workers(monkeypatch, 4)
-        assert sim._map_batches(cfg, lambda n, rng: rng.random()) == first_draws
+        assert list(sim._map_batches(cfg, lambda n, rng: rng.random())) == first_draws
 
     def test_negbin_bit_identical_to_serial(self, monkeypatch):
         cfg = SimConfig(trials=self.TRIALS, seed=124, z=6)
@@ -333,6 +332,23 @@ class TestThreadedBatches:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 16 * 2**20
+
+    def test_memory_does_not_grow_with_batch_count(self, monkeypatch):
+        # only a few batches are submitted ahead, so ten times the batches
+        # hold no more futures, Generators or results at once
+        monkeypatch.setattr(sim, "BATCH", 64)
+        force_workers(monkeypatch, 2)
+        peaks = []
+        for batches in (100, 1000):
+            tracemalloc.start()
+            try:
+                estimate_success(
+                    split(0.1), net_for(0.1), SimConfig(trials=64 * batches, seed=1, z=6)
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 256 * 2**10
 
 
 WALK_CAP = 5
