@@ -7,6 +7,10 @@ Exit codes: 0 success, 1 statistical-check failure, 2 domain error
 that is not positive and finite, or a value the library cannot converge
 on), 3 I/O error.  ``curve`` and every ``table`` compute all their rows
 before they open --out, so an error leaves an existing file untouched.
+
+The parser is built once per process, on the first call of ``main``,
+which looks the ``cmd_*`` function of each command up in this module
+when it runs, so a wrapper set there later is still reached.
 """
 
 import argparse
@@ -14,42 +18,14 @@ import csv
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import asymptotics, race, sim, specfun
 
-__all__ = ["ProbTable", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 SATOSHI_KAPPAS = [round(0.1 * i, 1) for i in range(1, 36)]
 SATOSHI_QS = [round(0.02 * i, 2) for i in range(1, 14)]
 CONFIRMATION_QS = [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
-
-
-@dataclass
-class ProbTable:
-    """Rectangular probability table destined for CSV."""
-
-    row_label: str
-    col_label: str
-    columns: list
-    rows: list = field(default_factory=list)  # (row_key, [cells])
-
-    def add_row(self, key, cells):
-        if len(cells) != len(self.columns):
-            raise ValueError(
-                f"expected {len(self.columns)} cells, got {len(cells)}"
-            )
-        for v in cells:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"cell {v} outside [0, 1]")
-        self.rows.append((key, list(cells)))
-
-    def write_csv(self, path, cell_format, key_format=str):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([self.row_label] + [str(c) for c in self.columns])
-            for key, cells in self.rows:
-                writer.writerow([key_format(key)] + [cell_format(v) for v in cells])
 
 
 def _split(q):
@@ -96,23 +72,20 @@ def cmd_confirmations(args):
 
 def _pz_table(q, z_values):
     split = _split(q)
-    table = ProbTable("z", "probability", ["P", "P_SN"])
-    for z in z_values:
-        table.add_row(
-            z,
-            [race.attacker_success_closed(split, z), race.nakamoto_probability(split, z)],
-        )
-    return table
+    return [
+        [z, f"{race.attacker_success_closed(split, z):.7f}",
+         f"{race.nakamoto_probability(split, z):.7f}"]
+        for z in z_values
+    ]
 
 
 def _satoshi_table(z):
-    table = ProbTable("kappa", "q", SATOSHI_QS)
-    for kappa in SATOSHI_KAPPAS:
-        table.add_row(
-            kappa,
-            [race.conditional_probability(_split(q), z, kappa) for q in SATOSHI_QS],
-        )
-    return table
+    # one array call per q column over every kappa row
+    columns = [race._conditional_over_kappa(_split(q), z, SATOSHI_KAPPAS) for q in SATOSHI_QS]
+    return [
+        [kappa, *(f"{100.0 * v:.2f}" for v in cells)]
+        for kappa, *cells in zip(SATOSHI_KAPPAS, *columns)
+    ]
 
 
 def _z0_boundary(k, z0_at, lo=0.001, hi=0.4999, tol=1e-4):
@@ -132,13 +105,11 @@ def cmd_table(args):
     which = args.which
     if which in ("satoshi3", "satoshi6"):
         z = 3 if which == "satoshi3" else 6
-        _satoshi_table(z).write_csv(
-            args.out, cell_format=lambda v: f"{100.0 * v:.2f}"
-        )
+        _write_rows(args.out, ["kappa", *SATOSHI_QS], _satoshi_table(z))
     elif which == "pz_q01":
-        _pz_table(0.1, range(0, 11)).write_csv(args.out, lambda v: f"{v:.7f}")
+        _write_rows(args.out, ["z", "P", "P_SN"], _pz_table(0.1, range(0, 11)))
     elif which == "pz_q03":
-        _pz_table(0.3, range(0, 51, 5)).write_csv(args.out, lambda v: f"{v:.7f}")
+        _write_rows(args.out, ["z", "P", "P_SN"], _pz_table(0.3, range(0, 51, 5)))
     elif which == "confirmations":
         rows = []
         for q in CONFIRMATION_QS:
@@ -158,10 +129,11 @@ def cmd_table(args):
         _write_rows(args.out, ["z0", "q_min"], rows)
     else:  # custom
         qs = [round(q, 10) for q in _frange(args.q_min, args.q_max, args.q_step)]
-        table = ProbTable("z", "q", qs)
-        for z in _frange(args.z_min, args.z_max, args.z_step):
-            table.add_row(z, [race.attacker_success_closed(_split(q), z) for q in qs])
-        table.write_csv(args.out, lambda v: f"{v:.7f}")
+        rows = [
+            [z, *(f"{race.attacker_success_closed(_split(q), z):.7f}" for q in qs)]
+            for z in _frange(args.z_min, args.z_max, args.z_step)
+        ]
+        _write_rows(args.out, ["z", *qs], rows)
     return 0
 
 
@@ -225,9 +197,9 @@ def cmd_curve(args):
     split = _split(args.q)
     kappas = _frange(args.kappa_min, args.kappa_max, args.kappa_step)
     rows = [
-        [z, f"{kappa:.6g}", f"{race.conditional_probability(split, z, kappa):.7f}"]
+        [z, f"{kappa:.6g}", f"{v:.7f}"]
         for z in args.z
-        for kappa in kappas
+        for kappa, v in zip(kappas, race._conditional_over_kappa(split, z, kappas))
     ]
     _write_rows(args.out, ["z", "kappa", "probability"], rows)
     return 0
@@ -249,7 +221,6 @@ def build_parser():
         choices=["exact", "nakamoto", "asymptotic"],
         default="exact",
     )
-    p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser(
         "conditional", help="success probability given the observed confirmation time"
@@ -259,14 +230,12 @@ def build_parser():
     p.add_argument("--kappa", type=float, help="deviation factor")
     p.add_argument("--tau1-minutes", type=float, help="observed time for z blocks")
     p.add_argument("--tau0-minutes", type=float, default=10.0)
-    p.set_defaults(func=cmd_conditional)
 
     p = sub.add_parser(
         "confirmations", help="confirmations needed to push the risk below a bound"
     )
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--risk", type=float, required=True)
-    p.set_defaults(func=cmd_confirmations)
 
     p = sub.add_parser("table", help="emit a reference table as CSV")
     p.add_argument(
@@ -289,7 +258,6 @@ def build_parser():
     p.add_argument("--z-min", type=int, default=1)
     p.add_argument("--z-max", type=int, default=10)
     p.add_argument("--z-step", type=int, default=1)
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("simulate", help="Monte-Carlo check against the analytic value")
     p.add_argument("--q", type=float, required=True)
@@ -298,7 +266,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["hybrid", "full_walk"], default="hybrid")
     p.add_argument("--kappa", type=float, help="condition on this deviation factor")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("curve", help="P(z, kappa) series for plotting, as CSV")
     p.add_argument("--q", type=float, required=True)
@@ -307,15 +274,20 @@ def build_parser():
     p.add_argument("--kappa-max", type=float, default=4.0)
     p.add_argument("--kappa-step", type=float, default=0.1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_curve)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a wrapper set on the module is reached
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OverflowError, specfun.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

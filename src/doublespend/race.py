@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import cython_special
 
 from . import specfun
 
@@ -244,6 +245,15 @@ def conditional_probability(split: HashSplit, z: int, kappa: float) -> float:
     return specfun._clamp01(math.exp(_log_conditional(split, z, kappa)))
 
 
+def _conditional_over_kappa(split, z, kappa):
+    """conditional_probability over a sequence of kappa, in one kernel call."""
+    _check_count("z", z, 1)
+    kappa = np.asarray(kappa, dtype=float)
+    if split.q == 0.5:
+        return np.ones(kappa.shape)
+    return np.clip(np.exp(_log_conditional(split, np.full(kappa.shape, z), kappa)), 0.0, 1.0)
+
+
 def _log_kappa_density(z, kappa):
     """ln f_z(kappa), elementwise if kappa is a numpy array.
 
@@ -360,7 +370,9 @@ def _asymptotic_start(split, risk, use_nakamoto):
     c = lam - 1 - ln lam, and the two parts of
     P_SN(z) = P[Poisson(z lam) >= z] + e^{-c z} P[Poisson(z) < z] give
     a(z) = erfcx((1-lam) sqrt(z/2)) / 2 + 1/2 - 1 / (3 sqrt(2 pi z)),
-    which tends to the paper's 1/2.  The rank solves
+    which tends to the paper's 1/2.  Nakamoto's a(z) takes the exact
+    erfcx from scipy; the closed form's keeps Komatsu's bound, which puts
+    its start nearer the answer near q = 1/2.  The rank solves
     z = ln(a(z) / risk) / c, by three fixed-point steps from z = 1.
     """
     lam, s = split.lam, split.s
@@ -368,7 +380,7 @@ def _asymptotic_start(split, risk, use_nakamoto):
         c = lam - 1.0 - math.log(lam)
 
         def a(z):
-            above = 0.5 * _approx_erfcx((1.0 - lam) * math.sqrt(0.5 * z))
+            above = 0.5 * cython_special.erfcx((1.0 - lam) * math.sqrt(0.5 * z))
             return above + 0.5 - 1.0 / (3.0 * math.sqrt(2.0 * math.pi * z))
     else:
         c = -math.log(s)

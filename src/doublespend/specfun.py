@@ -13,8 +13,11 @@ fraction (for Q and I_x), so tails below the smallest positive double
 stay finite.  For numbers they call the scalar entry points in
 ``scipy.special.cython_special``: the same kernels without the
 microsecond of array dispatch a ufunc spends on each scalar.  Given a
-numpy array (s for the gamma functions, a for the beta) they call the
-ufunc once over it and run the log-space fallback element by element.
+numpy array (s for the gamma functions, a for the beta) of any shape,
+0-d included, they check its least element, call the ufunc once over
+it, take the log of that value floored at 1e-300, and run the log-space
+fallback only on the elements below the floor; each element is
+bit-identical to the scalar call at its arguments.
 
 The linear ``reg_inc_beta`` is still hand-rolled (a continued fraction
 with its prefactor assembled in log space).
@@ -61,15 +64,15 @@ def _log_or_fallback(v, fallback, *args):
     """ln v elementwise, where v is a ufunc's value at ``args`` (numbers or
     arrays); an element below _TINY is replaced by ``fallback`` evaluated
     at that element's arguments.  A 0-d input gives a numpy scalar."""
-    shape = np.shape(v)
-    v = np.ravel(v)
-    tiny = v < _TINY
-    out = np.log(np.where(tiny, 1.0, v))
-    if tiny.any():
-        flat_args = [np.ravel(np.broadcast_to(arg, shape)) for arg in args]
-        for i in np.flatnonzero(tiny):
-            out[i] = fallback(*(float(arg[i]) for arg in flat_args))
-    return out.reshape(shape)[()]
+    out = np.log(np.maximum(v, _TINY))
+    tiny = np.flatnonzero(v < _TINY)
+    if tiny.size:
+        out = np.asarray(out)  # a numpy scalar becomes a writable 0-d array
+        flat_args = [np.broadcast_to(arg, out.shape).ravel() for arg in args]
+        for i in tiny:
+            out.flat[i] = fallback(*(float(arg[i]) for arg in flat_args))
+        out = out[()]
+    return out
 
 
 def log_gamma(x: float) -> float:
@@ -174,7 +177,7 @@ def log_reg_inc_beta(x: float, a, b: float):
     """ln I_x(a, b), elementwise if a is a numpy array; stays finite where
     I_x underflows to zero."""
     array = isinstance(a, _ARRAY)
-    if not ((np.min(a) if array else a) > 0.0 and b > 0.0):
+    if not ((a.min() if array else a) > 0.0 and b > 0.0):
         raise ValueError(f"log_reg_inc_beta requires a > 0 and b > 0, got a={a}, b={b}")
     if not 0.0 < x <= 1.0:
         raise ValueError(f"log_reg_inc_beta requires 0 < x <= 1, got x={x}")
@@ -254,7 +257,7 @@ def log_reg_upper_gamma_q(s, x):
     """ln Q(s, x); finite for x far above s where Q underflows.  Elementwise
     if s is a numpy array (x a number or an array of the same shape)."""
     if isinstance(s, _ARRAY):
-        _check_gamma_args("log_reg_upper_gamma_q", np.min(s), np.min(x))
+        _check_gamma_args("log_reg_upper_gamma_q", s.min(), np.asarray(x).min())
         return _log_or_fallback(special.gammaincc(s, x), _log_upper_gamma_cf, s, x)
     _check_gamma_args("log_reg_upper_gamma_q", s, x)
     v = cython_special.gammaincc(s, x)
@@ -267,7 +270,7 @@ def log_reg_lower_gamma_p(s, x):
     """ln P(s, x) = ln(1 - Q(s, x)); finite for x far below s.  Elementwise
     if s is a numpy array (x a number or an array of the same shape)."""
     if isinstance(s, _ARRAY):
-        if not (np.min(s) > 0.0 and np.min(x) > 0.0):
+        if not (s.min() > 0.0 and np.asarray(x).min() > 0.0):
             raise ValueError(f"log_reg_lower_gamma_p requires s > 0 and x > 0, got s={s}, x={x}")
         return _log_or_fallback(special.gammainc(s, x), _log_lower_gamma_series, s, x)
     if not s > 0.0:

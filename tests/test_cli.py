@@ -1,11 +1,13 @@
 """End-to-end command-line tests via main(argv)."""
 
 import csv
+import math
 
+import numpy as np
 import pytest
 
 from doublespend import asymptotics, cli, race, sim, specfun
-from doublespend.cli import ProbTable, main
+from doublespend.cli import main
 
 from reference_tables import KAPPA_ROWS, Q_COLS, SATOSHI3_PERCENT, SATOSHI6_PERCENT
 
@@ -13,26 +15,6 @@ from reference_tables import KAPPA_ROWS, Q_COLS, SATOSHI3_PERCENT, SATOSHI6_PERC
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
-
-
-class TestProbTable:
-    def test_rejects_ragged_row(self):
-        table = ProbTable("z", "q", [0.1, 0.2])
-        with pytest.raises(ValueError):
-            table.add_row(1, [0.5])
-
-    def test_rejects_out_of_range_cell(self):
-        table = ProbTable("z", "q", [0.1])
-        with pytest.raises(ValueError):
-            table.add_row(1, [1.5])
-
-    def test_csv_is_locale_independent(self, tmp_path):
-        table = ProbTable("z", "q", [0.1, 0.2])
-        table.add_row(1, [0.25, 0.5])
-        out = tmp_path / "t.csv"
-        table.write_csv(out, cell_format=lambda v: f"{v:.3f}")
-        raw = out.read_bytes()
-        assert raw == b"z,0.1,0.2\n1,0.250,0.500\n"
 
 
 class TestProb:
@@ -315,6 +297,46 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: lam value too large\n"
+
+
+class TestKappaGrids:
+    """curve and the satoshi tables take P(z, kappa) over each kappa grid in
+    one array call; every cell equals the scalar conditional_probability.
+
+    Both paths share the kernels, but the array one adds the two log terms
+    with np.logaddexp and exponentiates with np.exp, each of which can land
+    one ulp from its scalar counterpart.  One ulp of ln P is up to
+    eps |ln P| relative in P, hence the tolerance."""
+
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            (["curve", "--q", "0.1", "--z", "6", "--z", "12", "--z", "24",
+              "--kappa-step", "0.01"], 3 * 391),
+            # log-space fallback terms below 1e-300, and q = 1/2
+            (["curve", "--q", "0.45", "--z", "500", "--z", "2000"], 2 * 40),
+            (["curve", "--q", "0.5", "--z", "6"], 40),
+            (["table", "--which", "satoshi3"], 35 * 13),
+            (["table", "--which", "satoshi6"], 35 * 13),
+        ],
+    )
+    def test_cells_match_scalar(self, tmp_path, monkeypatch, argv, cells):
+        seen = []
+        over_kappa = race._conditional_over_kappa
+
+        def recorded(split, z, kappa):
+            values = over_kappa(split, z, kappa)
+            seen.extend((split, z, float(k), v) for k, v in zip(kappa, values))
+            return values
+
+        monkeypatch.setattr(race, "_conditional_over_kappa", recorded)
+        assert main([*argv, "--out", str(tmp_path / "grid.csv")]) == 0
+        assert len(seen) == cells
+        eps = np.finfo(float).eps
+        for split, z, kappa, value in seen:
+            expected = race.conditional_probability(split, z, kappa)
+            rel = 2.0 * eps * (1.0 - math.log(expected))
+            assert value == pytest.approx(expected, rel=rel, abs=0), (split.q, z, kappa)
 
 
 class TestCurve:

@@ -546,3 +546,26 @@ class TestConfirmationsRequired:
                 confirmations_required(split(q), 10.0 ** (-2 - 10 * j / 9), use_nakamoto)
                 solves += 1
         assert solves <= len(probes) <= 3 * solves
+
+    def test_nakamoto_probes_near_half(self, monkeypatch):
+        # near q = 1/2, (1 - lam) sqrt(z) is small and Komatsu's bound on
+        # erfcx is far off; with the exact erfcx the start stays close
+        rng = np.random.default_rng(49)
+        points = [
+            (split(q), 10.0**log_risk)
+            for q, log_risk in zip(
+                rng.uniform(0.49, 0.4995, 60), rng.uniform(-3.0, math.log10(0.98), 60)
+            )
+        ]
+        expected = [confirmations_scan(s, risk, True) for s, risk in points]
+        probes = []
+        nakamoto = race.nakamoto_probability
+
+        def probe(s, z):
+            probes.append(z)
+            return nakamoto(s, z)
+
+        monkeypatch.setattr(race, "nakamoto_probability", probe)
+        got = [confirmations_required(s, risk, use_nakamoto=True) for s, risk in points]
+        assert got == expected
+        assert len(probes) <= 6 * len(points)

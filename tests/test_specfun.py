@@ -228,6 +228,39 @@ class TestLogArrays:
             scalar = fn(*(float(a[i]) if isinstance(a, np.ndarray) else a for a in args))
             assert got[i] == pytest.approx(scalar, rel=1e-15, abs=0)
 
+    # six elements each, the ufunc's values mixed with ones below 1e-300
+    MIXED = [
+        (log_reg_inc_beta, (0.36, np.array([1, 6, 1000, 50, 5000, 20000]), 0.5)),
+        (
+            log_reg_upper_gamma_q,
+            (np.array([6.0, 500.0, 2.0, 100.0, 30.0, 1000.0]),
+             np.array([24.0, 5000.0, 0.5, 1000.0, 700.0, 1200.0])),
+        ),
+        (
+            log_reg_lower_gamma_p,
+            (np.array([6.0, 2000.0, 100.0, 3.0, 4000.0, 50.0]),
+             np.array([3.0, 200.0, 10.0, 1.0, 100.0, 0.01])),
+        ),
+    ]
+
+    @pytest.mark.parametrize("fn, args", MIXED)
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+    def test_bit_identical_to_scalar_in_any_shape(self, fn, args, shape):
+        def element(i, wrap):
+            # the i-th element of every array argument, as a float or a 0-d array
+            return [wrap(a[i]) if isinstance(a, np.ndarray) else a for a in args]
+
+        scalars = [fn(*element(i, float)) for i in range(6)]
+        assert min(scalars) < math.log(1e-300) < max(scalars)
+        if shape == ():
+            got = [fn(*element(i, np.array)) for i in range(6)]
+            assert all(np.shape(g) == () for g in got)
+        else:
+            got = fn(*(a.reshape(shape) if isinstance(a, np.ndarray) else a for a in args))
+            assert got.shape == shape
+            got = got.ravel()
+        assert [float(g).hex() for g in got] == [v.hex() for v in scalars]
+
     @pytest.mark.parametrize(
         "fn, args",
         [

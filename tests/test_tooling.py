@@ -4,9 +4,10 @@ for what importing the library loads.
 ``perfbench/tracer.py`` lists library functions by module and
 ``perfbench/worker.py`` rewraps ``HashSplit.from_attacker_share`` as a
 classmethod, builds ``sim.SimConfig`` by keyword and reads fields of the
-``SimResult``; a rename in ``src/`` would otherwise only show up as a
-failed benchmark run.  Both files are parsed, not imported, so nothing
-is written under ``perfbench/``.
+``SimResult``, and wraps ``cli.cmd_table`` and ``cli.cmd_curve``; a
+rename in ``src/`` would otherwise only show up as a failed benchmark
+run.  Both files are parsed, not imported, so nothing is written under
+``perfbench/``.
 """
 
 import ast
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import doublespend
-from doublespend import race, sim, specfun
+from doublespend import cli, race, sim, specfun
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -51,6 +52,20 @@ def test_wrapped_entry_points():
     assert isinstance(inspect.getattr_static(race.HashSplit, "from_attacker_share"), classmethod)
     assert callable(race.NetworkParams.for_split)
     assert issubclass(specfun.ConvergenceError, ArithmeticError)
+
+
+def test_main_reaches_commands_wrapped_after_first_call(monkeypatch, tmp_path):
+    # main builds its parser once per process; perfbench/worker.py wraps
+    # cli.cmd_table and cli.cmd_curve after import, so main must look the
+    # command up in the module at each call
+    out = str(tmp_path / "t.csv")
+    assert cli.main(["table", "--which", "pz_q01", "--out", out]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_table", lambda args: calls.append(args.which) or 0)
+    monkeypatch.setattr(cli, "cmd_curve", lambda args: calls.append(args.z) or 0)
+    assert cli.main(["table", "--which", "z0", "--out", out]) == 0
+    assert cli.main(["curve", "--q", "0.1", "--z", "6", "--out", out]) == 0
+    assert calls == ["z0", [6]]
 
 
 def is_call_to(node, module, name):
