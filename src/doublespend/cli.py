@@ -106,10 +106,9 @@ def cmd_table(args):
     if which in ("satoshi3", "satoshi6"):
         z = 3 if which == "satoshi3" else 6
         _write_rows(args.out, ["kappa", *SATOSHI_QS], _satoshi_table(z))
-    elif which == "pz_q01":
-        _write_rows(args.out, ["z", "P", "P_SN"], _pz_table(0.1, range(0, 11)))
-    elif which == "pz_q03":
-        _write_rows(args.out, ["z", "P", "P_SN"], _pz_table(0.3, range(0, 51, 5)))
+    elif which in ("pz_q01", "pz_q03"):
+        q, z_values = (0.1, range(0, 11)) if which == "pz_q01" else (0.3, range(0, 51, 5))
+        _write_rows(args.out, ["z", "P", "P_SN"], _pz_table(q, z_values))
     elif which == "confirmations":
         rows = []
         for q in CONFIRMATION_QS:
