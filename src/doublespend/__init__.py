@@ -10,7 +10,6 @@ independent oracle.
 from .race import (
     HashSplit,
     NetworkParams,
-    RaceQuery,
     attacker_success_closed,
     catchup_probability,
     conditional_probability,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HashSplit",
     "NetworkParams",
-    "RaceQuery",
     "attacker_success_closed",
     "catchup_probability",
     "conditional_probability",

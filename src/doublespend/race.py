@@ -18,7 +18,6 @@ Conventions used throughout:
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import cython_special
@@ -28,7 +27,6 @@ from . import specfun
 __all__ = [
     "HashSplit",
     "NetworkParams",
-    "RaceQuery",
     "MAX_CONFIRMATIONS",
     "catchup_probability",
     "negbin_pmf",
@@ -46,15 +44,13 @@ __all__ = [
 MAX_CONFIRMATIONS = 10_000_000
 
 # recover_p_by_quadrature cuts the integrand where its log falls _QUAD_DEPTH
-# below the peak, narrows the cut on grids of _QUAD_GRID points until it spans
-# at least _QUAD_MIN_CELLS of them, then sums _QUAD_NODES Gauss-Legendre
-# nodes over it.  48 nodes already hold 1e-12; 32 do not.  Up to z = 10^6
-# the cut needed at most three grids.
+# below the peak, locates the cut from an upper bound evaluated on a grid of
+# _QUAD_GRID points, and sums _QUAD_NODES Gauss-Legendre nodes over it.
+# 48 nodes already hold 1e-12; 32 do not.  A grid of 256 points lost four
+# digits at q >= 0.4999, z = 10^6, where the cut spans two of its cells.
 _QUAD_DEPTH = 40.0
-_QUAD_GRID = 64
-_QUAD_MIN_CELLS = 8
+_QUAD_GRID = 1024
 _QUAD_NODES = 64
-_QUAD_MAX_ROUNDS = 10
 
 # From this z on, the first term that _log_kappa_density leaves out of
 # Stirling's series, 1/(1188 z^9), is below 1e-15.
@@ -131,36 +127,6 @@ class NetworkParams:
     @classmethod
     def for_split(cls, split: HashSplit, tau0: float = 10.0) -> "NetworkParams":
         return cls(tau0=tau0, q=split.q)
-
-
-@dataclass(frozen=True)
-class RaceQuery:
-    """One risk question: z confirmations, optionally a kappa or an
-    observed elapsed time tau1.  When both are given tau1 wins and kappa
-    is recomputed; disagreement beyond 1e-9 is an error."""
-
-    z: int
-    kappa: Optional[float] = None
-    tau1: Optional[float] = None
-
-    def __post_init__(self):
-        _check_count("z", self.z, 0)
-        if self.kappa is not None:
-            _check_positive("kappa", self.kappa)
-        if self.tau1 is not None:
-            _check_positive("tau1", self.tau1)
-
-    def resolved_kappa(self, net: NetworkParams, split: HashSplit) -> Optional[float]:
-        """kappa implied by the query; observed time is the ground truth."""
-        if self.tau1 is None:
-            return self.kappa
-        derived = kappa_from_times(net, split, self.z, self.tau1)
-        if self.kappa is not None and abs(self.kappa - derived) > 1e-9:
-            raise ValueError(
-                f"kappa={self.kappa} inconsistent with tau1={self.tau1} "
-                f"(implies kappa={derived})"
-            )
-        return derived
 
 
 def _logaddexp(a, b):
@@ -307,20 +273,28 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
     conditional one against the kappa density.  Independent cross-check
     of the closed form.
 
-    The integrand is handled in log space, g = ln[P(z, kappa) f_z(kappa)],
-    at an array of kappa per kernel call.  A uniform grid of 64 points
-    locates the peak of g and the window where g lies within 40 of it;
-    the grid is laid again over that window until the window spans at
-    least 8 cells.  A 64-node Gauss-Legendre rule then sums
-    w exp(g - g_max) over the window, and the result is exp(g_max) times
-    that sum, so it keeps its relative accuracy below 1e-300 until it
-    underflows.
+    The integrand is handled in log space, g = ln[P(z, kappa) f_z(kappa)].
+    With lam = q/p, Chernoff's bounds on both Poisson parts of P(z, kappa)
+    give ln P(z, kappa) <= U(kappa), capped at 0, where
 
-    Measured against 40-digit mpmath P(z) = I_{4pq}(z, 1/2) at 25 values
-    of q in [0.001, 0.499]: within 7e-13 relative up to z = 1000,
-    1.1e-12 at z = 2000 and 3e-13 at z = 5000.  What error there is
-    comes from ln P(z, kappa); with 40-digit values of it, the same rule
-    is within 3e-14 at z = 2000.
+        U = ln 2 + z ln lam + kappa z (1 - lam)      for kappa <= 1,
+        U = ln 2 - z c(kappa lam)                    for 1 <= kappa < 1/lam,
+
+    and 0 beyond 1/lam.  h = U + ln f_z is concave, so each superlevel set
+    of h is one interval, and h >= g.  g is evaluated once, at the peak of
+    h on a grid of 1024 points; the window where h lies within 40 of that
+    value contains the window where g lies within 40 of its own peak.  Its
+    ends are taken one grid cell outside the outermost grid points in it,
+    and a 64-node Gauss-Legendre rule sums w exp(g - g_max) over it, in
+    the one other kernel call.  The result is exp(g_max) times that sum,
+    so it keeps its relative accuracy below 1e-300 until it underflows.
+
+    Measured against 40-digit mpmath P(z) = I_{4pq}(z, 1/2) at ten values
+    of q in [0.001, 0.499]: within 8.5e-13 relative up to z = 5000, the
+    worst at z = 2000; at z = 10^5 within 2.2e-13 for q >= 0.47, and at
+    z = 10^6 within 8e-14 for q >= 0.4995.  What error there is comes from
+    ln P(z, kappa).  At z = 10^6 that is off by up to 1.7e-7 (q = 0.498,
+    kappa = 1.002), and the result for q in [0.495, 0.499] by 2e-10 to 3e-7.
     """
     _check_count("z", z, 1)
     if split.q == 0.5:
@@ -328,18 +302,20 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
     # P(z, kappa) >= lam^z puts the peak of g at most -z ln lam below that of
     # ln f_z, and for kappa >= 1, ln f_z(kappa) - ln f_z(1) <= z(1 - kappa/2),
     # so past 2(1 + depth/z - ln lam) g is more than the depth below its peak
-    lo, hi = 0.0, 2.0 * (1.0 + _QUAD_DEPTH / z - math.log(split.lam))
-    for _ in range(_QUAD_MAX_ROUNDS):
-        step = (hi - lo) / _QUAD_GRID
-        g = _log_quadrature_integrand(split, z, lo + step * np.arange(1, _QUAD_GRID + 1))
-        inside = np.flatnonzero(g > g.max() - _QUAD_DEPTH)
-        first, last = inside[0], inside[-1]
-        # g is unimodal, so the window ends within one cell of its outer grid points
-        lo, hi = lo + step * first, min(hi, lo + step * (last + 2))
-        if last - first >= _QUAD_MIN_CELLS:
-            break
-    else:
-        raise specfun.ConvergenceError(f"quadrature window did not resolve for z={z}")
+    lam, log_lam = split.lam, math.log(split.lam)
+    step = 2.0 * (1.0 + _QUAD_DEPTH / z - log_lam) / _QUAD_GRID
+    kappa = step * np.arange(1, _QUAD_GRID + 1)
+    # c(kappa lam) at kappa lam >= 1 is taken at 1, where c is 0
+    klam = np.minimum(kappa * lam, 1.0)
+    upper = np.where(
+        kappa < 1.0, z * (log_lam + kappa * (1.0 - lam)), -z * (klam - 1.0 - np.log(klam))
+    )
+    h = np.minimum(math.log(2.0) + upper, 0.0) + _log_kappa_density(z, kappa)
+    # g <= h, so h is above this level wherever g is within the depth of its peak
+    level = _log_quadrature_integrand(split, z, kappa[[np.argmax(h)]])[0] - _QUAD_DEPTH
+    # h is concave, so the window ends within one cell of its outer grid points
+    inside = np.flatnonzero(h >= level)
+    lo, hi = step * inside[0], step * (inside[-1] + 2)
     nodes, weights = _gauss_legendre()
     half = 0.5 * (hi - lo)
     g = _log_quadrature_integrand(split, z, lo + half * (nodes + 1.0))

@@ -23,6 +23,8 @@ from doublespend.asymptotics import (
 )
 from doublespend.race import HashSplit, attacker_success_closed, nakamoto_probability
 
+from reference_tables import SWEEP_QS, SWEEP_ZS
+
 
 def split(q):
     return HashSplit.from_attacker_share(q)
@@ -401,6 +403,12 @@ class TestComparisonRank:
             s = split(float(q))
             assert z0_sharp(s) == z0_sharp_scan(s), q
 
+    def test_sharp_rank_non_decreasing_in_q(self):
+        # the q-bisection of cli._z0_boundary relies on this; it is measured,
+        # not proven
+        ranks = [z0_sharp(split(float(q))) for q in np.linspace(0.001, 0.45, 200)]
+        assert all(b >= a for a, b in zip(ranks, ranks[1:]))
+
     def test_sharp_rank_near_half(self):
         assert z0_sharp(split(0.499)) == 43692
 
@@ -474,6 +482,26 @@ class TestKappaThreshold:
         s = split(0.1)
         correction = 9.0 - kappa_threshold(s, 100)
         assert correction == pytest.approx(0.10125, rel=0.10)
+
+    def test_newton_evaluates_the_sums_few_times(self, monkeypatch):
+        # bisection to 1e-13 took about 47 evaluations per solve
+        sums = asymptotics._threshold_sums
+        calls = []
+        monkeypatch.setattr(
+            asymptotics, "_threshold_sums", lambda z, kappa: calls.append(z) or sums(z, kappa)
+        )
+        for q in SWEEP_QS:
+            for z in SWEEP_ZS:
+                kappa_threshold(split(q), z)
+        assert len(calls) <= 4 * len(SWEEP_QS) * len(SWEEP_ZS)
+
+    def test_doubles_where_the_sums_overflow(self):
+        # at q = 0.4999, z = 1000 the start is kappa(2) = 2e-4, where the
+        # left side overflows
+        assert math.isinf(asymptotics._threshold_sums(1000, 0.5 / 0.4999 - 1.0)[0])
+        kappa = kappa_threshold(split(0.4999), 1000)
+        total, _ = asymptotics._threshold_sums(1000, kappa)
+        assert total == pytest.approx(0.4999 / (1.0 - 2 * 0.4999), rel=1e-11)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,16 @@ class TestConditional:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "extra", [["--z", "6", "--kappa", "0"], ["--z", "6", "--tau1-minutes", "0"],
+                  ["--z", "0", "--kappa", "1"]]
+    )
+    def test_non_positive_input_is_domain_error(self, capsys, extra):
+        assert main(["conditional", "--q", "0.1", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_published_high_kappa_cell(self, capsys):
         assert main(["conditional", "--q", "0.26", "--z", "6", "--kappa", "3.5"]) == 0
         assert "(79.66%)" in capsys.readouterr().out

@@ -17,6 +17,8 @@ from scipy import special
 from doublespend import asymptotics, race, specfun
 from doublespend.race import HashSplit
 
+from reference_tables import SWEEP_QS, SWEEP_ZS
+
 mp = pytest.importorskip("mpmath")
 
 DPS = 40
@@ -192,6 +194,47 @@ def test_quadrature_recovers_p(q, z):
     if q == 0.5:
         assert got == 1.0
     assert_close(got, success_mp(q, z))
+
+
+@pytest.mark.parametrize(
+    "q, z, rel",
+    [(0.45, 2 * 10**4, "1e-12"), (0.49, 10**5, "1e-12"),
+     # here ln P(z, kappa) itself is off by about 1e-10
+     (0.499, 10**6, "1e-9"),
+     # the window spans two cells of a 256-point bound grid, which gave 4.1e-10
+     (0.4999, 10**6, "1e-12")],
+)
+def test_quadrature_recovers_p_at_large_z(q, z, rel):
+    got = race.recover_p_by_quadrature(split(q), z)
+    assert math.isfinite(got)
+    assert_close(got, success_mp(q, z), rel)
+
+
+def threshold_lhs_mp(z, kappa):
+    """sum_{j=1}^{z-1} prod_{i<=j} (1 - i/z) / kappa^j in mpmath."""
+    with mp.workdps(DPS):
+        kappa = mp.mpf(kappa)
+        term, total = mp.mpf(1), mp.mpf(0)
+        for j in range(1, z):
+            term *= (1 - mp.mpf(j) / z) / kappa
+            total += term
+            if term < total * mp.mpf(10) ** -(DPS + 2):
+                break
+        return total
+
+
+@pytest.mark.parametrize("z", [*SWEEP_ZS, 10**5])
+@pytest.mark.parametrize("q", SWEEP_QS)
+def test_kappa_threshold_brackets_root(q, z):
+    # the left side decreases in kappa, so it crosses lam/(1-lam) inside a
+    # relative bracket of 1e-12 around the answer
+    kappa = mp.mpf(asymptotics.kappa_threshold(split(q), z))
+    with mp.workdps(DPS):
+        target = mp.mpf(q) / (1 - 2 * mp.mpf(q))
+        rel = mp.mpf("1e-12")
+        assert threshold_lhs_mp(z, kappa * (1 - rel)) > target > threshold_lhs_mp(
+            z, kappa * (1 + rel)
+        )
 
 
 @pytest.mark.parametrize("z", [1, 2, 21, 22, 100, 5000, 10**6])

@@ -12,7 +12,6 @@ from doublespend import race, specfun
 from doublespend.race import (
     HashSplit,
     NetworkParams,
-    RaceQuery,
     attacker_success_closed,
     catchup_probability,
     conditional_probability,
@@ -80,37 +79,6 @@ class TestNetworkParams:
             NetworkParams(tau0=10.0, q=0.6)
 
 
-class TestRaceQuery:
-    def test_kappa_passthrough(self):
-        net = NetworkParams.for_split(split(0.1))
-        q = RaceQuery(z=6, kappa=2.0)
-        assert q.resolved_kappa(net, split(0.1)) == 2.0
-
-    def test_tau1_resolution(self):
-        net = NetworkParams.for_split(split(0.1), tau0=10.0)
-        q = RaceQuery(z=6, tau1=120.0)
-        assert q.resolved_kappa(net, split(0.1)) == pytest.approx(1.8, rel=1e-14)
-
-    def test_consistent_pair_accepted(self):
-        net = NetworkParams.for_split(split(0.1), tau0=10.0)
-        q = RaceQuery(z=6, kappa=1.8, tau1=120.0)
-        assert q.resolved_kappa(net, split(0.1)) == pytest.approx(1.8, rel=1e-14)
-
-    def test_inconsistent_pair_rejected(self):
-        net = NetworkParams.for_split(split(0.1), tau0=10.0)
-        q = RaceQuery(z=6, kappa=1.0, tau1=120.0)
-        with pytest.raises(ValueError):
-            q.resolved_kappa(net, split(0.1))
-
-    def test_field_validation(self):
-        with pytest.raises(ValueError):
-            RaceQuery(z=-1)
-        with pytest.raises(ValueError):
-            RaceQuery(z=1, kappa=0.0)
-        with pytest.raises(ValueError):
-            RaceQuery(z=1, tau1=-5.0)
-
-
 class TestArgumentValidation:
     @pytest.mark.parametrize("z", [6.5, 6.0, True, "6", None])
     def test_rejects_non_integer_z(self, z):
@@ -130,7 +98,7 @@ class TestArgumentValidation:
         with pytest.raises(ValueError):
             deviation_tail(6, kappa)
         with pytest.raises(ValueError):
-            RaceQuery(z=6, kappa=kappa)
+            kappa_density(6, kappa)
 
     def test_accepts_numpy_integers(self):
         s = split(0.1)
@@ -401,6 +369,20 @@ class TestQuadratureRecovery:
         assert abs(
             recover_p_by_quadrature(s, z) - attacker_success_closed(s, z)
         ) <= 1e-8
+
+    @pytest.mark.parametrize("q, z", [(0.1, 1), (0.3, 500), (0.49, 10**5)])
+    def test_two_integrand_calls(self, monkeypatch, q, z):
+        # one at the peak of the bound, one at the Gauss-Legendre nodes
+        integrand = race._log_quadrature_integrand
+        sizes = []
+
+        def recorded(split, z, kappa):
+            sizes.append(kappa.size)
+            return integrand(split, z, kappa)
+
+        monkeypatch.setattr(race, "_log_quadrature_integrand", recorded)
+        recover_p_by_quadrature(split(q), z)
+        assert sizes == [1, race._QUAD_NODES]
 
     def test_published_rows(self):
         assert recover_p_by_quadrature(split(0.1), 1) == pytest.approx(
