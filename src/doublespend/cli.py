@@ -89,19 +89,44 @@ def _satoshi_table(z):
     ]
 
 
-def _z0_boundary(k, z0_at, lo=0.001, hi=0.4999, tol=1e-4):
-    """Smallest q at which z0_at(q), the sharp rank z0, reaches k, by bisection."""
-    # bisection needs z0_sharp non-decreasing in q; that is unproven, but a
-    # scan of 4000 q in [0.001, 0.499] found no decrease
-    if z0_at(lo) >= k:
-        return 0.0
+def _bisect(pred, lo, hi, tol):
+    """Halve [lo, hi] until it is at most tol wide, keeping hi where pred holds;
+    returns the final cell (lo, hi)."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if z0_at(mid) >= k:
+        if pred(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
+
+
+def _z0_boundary(k, z0_at, lo=0.001, hi=0.4999, tol=1e-4):
+    """Smallest q at which z0_at(q), the sharp rank z0, reaches k, by bisection.
+
+    The bisection needs z0 non-decreasing in q; that is unproven, but a scan
+    of 4000 q in [0.001, 0.499] found no decrease.  It is first run on a cheap
+    guide, whether rank k - 1 is bad (P_SN >= P there), and the guide's final
+    cell [a, b] is kept if z0_at(a) < k <= z0_at(b) (an end at lo or hi counts
+    as checked, as in the plain bisection).  The leaf cells of the halving tree
+    partition [lo, hi], and for a non-decreasing z0 exactly one of them passes
+    that check: the one the plain bisection on z0_at ends in.  So the answer
+    does not depend on the guide being right; where it is wrong, the plain
+    bisection runs.
+    """
+    if z0_at(lo) >= k:
+        return 0.0
+
+    def rank_bad(q):
+        split = _split(q)
+        return race.nakamoto_probability(split, k - 1) >= race.attacker_success_closed(
+            split, k - 1
+        )
+
+    a, b = _bisect(rank_bad, lo, hi, tol)
+    if (a == lo or z0_at(a) < k) and (b == hi or z0_at(b) >= k):
+        return b
+    return _bisect(lambda q: z0_at(q) >= k, lo, hi, tol)[1]
 
 
 def cmd_table(args):

@@ -4,7 +4,8 @@ Independent oracle for the analytic probabilities: the race up to the
 z-th honest block is sampled exactly (Gamma race time, Poisson attacker
 production), then the residual catch-up race is either resolved
 analytically by one Bernoulli draw ("hybrid" mode) or walked in runs
-until the attacker erases the deficit or falls deficit_cap blocks behind
+until the attacker erases the deficit or falls deficit_cap blocks behind,
+where one Bernoulli draw of the exact chance from there resolves it
 ("full_walk" mode).  Conditioned on an observed kappa, the race time is
 fixed at kappa z tau0/p, so only the attacker's Poisson(kappa z q/p)
 block count is drawn and every trial counts.
@@ -15,13 +16,16 @@ ufuncs release the GIL while they fill a batch's arrays.  At most two
 batches per thread are submitted ahead, so memory is O(n) per batch in
 flight, whatever z is or how many batches a run has.
 
-Reproducibility contract, stream version 3: batch b of a run draws from a
+Reproducibility contract, stream version 4: batch b of a run draws from a
 Philox stream seeded by SeedSequence(seed, spawn_key=(b,)), and per-batch
 sums are added up in batch order, so results are bit-identical for a given
 (seed, config) whatever the thread count.  Unconditioned runs draw one Gamma
-variate per race and one geometric variate per walk round, exactly as in
-v2; kappa-conditioned runs draw no Gamma variate, so only their streams
-differ from v2.  v1 streams are not reproduced.
+variate per race and one geometric variate per walk round; kappa-conditioned
+runs draw no Gamma variate.  Hybrid runs draw exactly as in v3.  A
+"full_walk" batch then draws one uniform per walk, which resolves the walks
+stopped at the cap, and a walk that starts at or beyond the cap takes no
+step, so its results differ from v3 wherever a capped walk can win: near
+q = 1/2, or at a small cap.  Earlier streams are not reproduced.
 """
 
 import math
@@ -46,7 +50,7 @@ __all__ = [
 ]
 
 BATCH = 1 << 14
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 _MODES = ("hybrid", "full_walk")
 
@@ -130,12 +134,17 @@ def _race(split, net, z, rng, n, kappa=None):
 def _walk(q, deficit, deficit_cap, rng):
     """Gambler's-ruin catch-up; True where the attacker erases the deficit.
 
-    The deficit falls by one w.p. q per step, else rises by one; after each
-    step, the first included, it is absorbed at <= 0 (win) or >= deficit_cap
-    (loss).  A round draws G ~ Geometric(q): G - 1 steps up, then one down.
+    The deficit falls by one w.p. q per step, else rises by one, until it
+    reaches 0 (a win) or deficit_cap; a walk that starts at or beyond the
+    cap takes no step.  A round draws G ~ Geometric(q): G - 1 steps up,
+    then one down.  After the last round one uniform is drawn per walk, and
+    a walk stopped at deficit d >= deficit_cap wins if it falls below
+    (q/p)^d, its exact chance from there, so the walk samples the catch-up
+    law exactly for any cap.
     """
-    x, idx = deficit, np.arange(deficit.size)
     won = np.zeros(deficit.size, dtype=bool)
+    idx = np.flatnonzero(deficit < deficit_cap)
+    x = deficit[idx]
     while idx.size:
         g = rng.geometric(q, size=idx.size)
         x = x + g - 2
@@ -143,7 +152,10 @@ def _walk(q, deficit, deficit_cap, rng):
         won[idx[~lost & (x <= 0)]] = True
         going = ~lost & (x > 0)
         idx, x = idx[going], x[going]
-    return won
+    # a walk that has not won stopped at the cap or started at or beyond it;
+    # a uniform per walk is cheaper than picking those walks out
+    d = np.maximum(deficit, deficit_cap)
+    return won | (rng.random(won.size) < np.exp(d * math.log(q / (1.0 - q))))
 
 
 def _run_batch(split, net, z, mode, deficit_cap, rng, n, kappa=None):

@@ -409,6 +409,16 @@ class TestComparisonRank:
         ranks = [z0_sharp(split(float(q))) for q in np.linspace(0.001, 0.45, 200)]
         assert all(b >= a for a, b in zip(ranks, ranks[1:]))
 
+    def test_bad_ranks_form_a_prefix(self):
+        # then z0 >= k exactly where rank k - 1 is bad, the guide that
+        # cli._z0_boundary bisects on; measured, not proven, so z0_sharp
+        # keeps its scan and the table checks each guided cell
+        for q in np.linspace(0.001, 0.45, 300):
+            s = split(float(q))
+            w = np.arange(2, z0_sufficient(s))
+            bad = w[race._log_nakamoto(s, w) >= race._log_success_closed(s, w)]
+            assert bad.tolist() == list(range(2, z0_sharp(s))), q
+
     def test_sharp_rank_near_half(self):
         assert z0_sharp(split(0.499)) == 43692
 

@@ -1,6 +1,7 @@
 """End-to-end command-line tests via main(argv)."""
 
 import csv
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 from doublespend import asymptotics, cli, race, sim, specfun
 from doublespend.cli import main
 
-from reference_tables import KAPPA_ROWS, Q_COLS, SATOSHI3_PERCENT, SATOSHI6_PERCENT
+from reference_tables import (
+    KAPPA_ROWS,
+    Q_COLS,
+    SATOSHI3_PERCENT,
+    SATOSHI6_PERCENT,
+    z0_boundary_bisect,
+)
 
 
 def read_csv(path):
@@ -169,6 +176,37 @@ class TestTable:
         assert len(rows) == 11
         for row, expected in zip(rows[1:], published):
             assert abs(float(row[1]) - expected) <= 0.001 + 1e-9
+
+    def test_z0_boundary_matches_plain_bisection(self):
+        z0_at = functools.cache(lambda q: asymptotics.z0_sharp(cli._split(q)))
+        for k in range(2, 31):
+            assert cli._z0_boundary(k, z0_at) == z0_boundary_bisect(k, z0_at), k
+
+    def test_z0_boundary_falls_back_where_the_guide_is_wrong(self):
+        # a monotone step whose boundaries are nowhere near the ranks'
+        # crossings: every guided cell fails its check
+        calls = []
+
+        def z0_at(q):
+            calls.append(q)
+            return 2 + int(37 * q)
+
+        for k in range(2, 12):
+            calls.clear()
+            assert cli._z0_boundary(k, z0_at) == z0_boundary_bisect(k, z0_at), k
+            if k > 2:
+                assert len(calls) > 10, k  # the plain bisection ran
+
+    def test_z0_table_evaluates_few_sharp_ranks(self, tmp_path, monkeypatch):
+        real = asymptotics.z0_sharp
+        calls = []
+        monkeypatch.setattr(
+            asymptotics, "z0_sharp", lambda split: calls.append(split.q) or real(split)
+        )
+        out = tmp_path / "z0.csv"
+        assert main(["table", "--which", "z0", "--out", str(out)]) == 0
+        # one bisection per boundary on z0_sharp took 87
+        assert len(calls) <= 21
 
     def test_custom_table(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -135,9 +135,19 @@ class TestEstimateSuccess:
             s, net_for(q), SimConfig(trials=trials, seed=4, z=z, mode="full_walk")
         )
         combined_se = math.hypot(hybrid.std_err, walk.std_err)
-        truncation_bias = s.lam**100
-        assert abs(hybrid.p_hat - walk.p_hat) <= max(
-            5.0 * combined_se, truncation_bias
+        assert abs(hybrid.p_hat - walk.p_hat) <= 5.0 * combined_se
+
+    def test_full_walk_near_half(self):
+        # a walk that reached the deficit cap used to count as lost, a bias
+        # of 1.1e-2 here, 48 standard errors at 1e5 trials
+        q, z = 0.499, 6
+        s = split(q)
+        result = estimate_success(
+            s, net_for(q), SimConfig(trials=100_000, seed=499, z=z, mode="full_walk")
+        )
+        exact = race.attacker_success_closed(s, z)
+        assert abs(result.p_hat - exact) <= 5.0 * math.sqrt(
+            exact * (1.0 - exact) / result.trials
         )
 
     def test_even_split_certain(self):
@@ -221,15 +231,18 @@ class TestEstimateSuccess:
     )
     def test_unconditioned_streams_pinned(self, q, mode, trials, seed, expected):
         # the stream version 2 results: version 3 changed only
-        # kappa-conditioned runs and keeps these bit for bit
-        assert sim.STREAM_VERSION == 3
+        # kappa-conditioned runs, and version 4 only full_walk runs whose
+        # capped walks can win, which at q = 0.3 and cap 100 (lam^100 ~ 1e-37)
+        # none does, so both keep these bit for bit
+        assert sim.STREAM_VERSION == 4
         cfg = SimConfig(trials=trials, seed=seed, z=6, mode=mode)
         assert estimate_success(split(q), net_for(q), cfg) == expected
 
     def test_kappa_conditioned_stream_pinned(self):
-        # a stream version 3 kappa-conditioned result over seven batches;
-        # mean_kappa pins the order in which the batch sums are added
-        assert sim.STREAM_VERSION == 3
+        # a stream version 3 kappa-conditioned result over seven batches,
+        # unchanged in version 4; mean_kappa pins the order in which the
+        # batch sums are added
+        assert sim.STREAM_VERSION == 4
         q, z, kappa = 0.1, 6, 1.8
         cfg = SimConfig(trials=100_000, seed=18, z=z, kappa=kappa)
         result = estimate_success(split(q), net_for(q), cfg)
@@ -371,22 +384,26 @@ class TestCatchUpWalk:
     @pytest.mark.parametrize("d", [1, 3, WALK_CAP - 1])
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.45])
     def test_matches_gamblers_ruin(self, q, d):
+        # a win before the cap, or a stop at the cap and a win of its draw there
         won = self.walk(q, d, seed=100 + d)
-        exact = ruin_win_probability(q, d, WALK_CAP)
+        lam = q / (1.0 - q)
+        ruin = ruin_win_probability(q, d, WALK_CAP)
+        exact = ruin + (1.0 - ruin) * lam**WALK_CAP
+        assert exact == pytest.approx(lam**d, rel=1e-12)
         sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
         assert abs(won.mean() - exact) <= 5.0 * sigma
 
-    def test_first_step_down_from_cap_continues(self):
-        # from d = cap only a first step down keeps the walk alive, at cap - 1
+    @pytest.mark.parametrize("d", [WALK_CAP, WALK_CAP + 1, WALK_CAP + 2])
+    def test_at_or_beyond_cap_one_draw(self, d):
+        # no step is taken: the walk's only draw is its uniform against lam^d
         q = 0.45
-        won = self.walk(q, WALK_CAP, seed=7)
-        exact = q * ruin_win_probability(q, WALK_CAP - 1, WALK_CAP)
-        sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
-        assert abs(won.mean() - exact) <= 5.0 * sigma
-
-    @pytest.mark.parametrize("d", [WALK_CAP + 1, WALK_CAP + 2])
-    def test_beyond_cap_always_loses(self, d):
-        assert not self.walk(0.45, d, seed=8).any()
+        won = self.walk(q, d, seed=8)
+        rng = np.random.Generator(np.random.Philox(8))
+        uniforms = rng.random(self.TRIALS)
+        lam = q / (1.0 - q)
+        assert np.array_equal(won, uniforms < np.exp(d * math.log(lam)))
+        sigma = math.sqrt(lam**d * (1.0 - lam**d) / self.TRIALS)
+        assert abs(won.mean() - lam**d) <= 5.0 * sigma
 
 
 class TestEstimateNegbin:

@@ -1,13 +1,14 @@
-"""Guards for the names the benchmark harness in ``perfbench/`` wraps, and
-for what importing the library loads.
+"""Guards for the names the benchmark harness in ``perfbench/`` wraps, for
+the golden CSVs it checks the tables against, and for what importing the
+library loads.
 
 ``perfbench/tracer.py`` lists library functions by module and
 ``perfbench/worker.py`` rewraps ``HashSplit.from_attacker_share`` as a
 classmethod, builds ``sim.SimConfig`` by keyword and reads fields of the
 ``SimResult``, and wraps ``cli.cmd_table`` and ``cli.cmd_curve``; a
 rename in ``src/`` would otherwise only show up as a failed benchmark
-run.  Both files are parsed, not imported, so nothing is written under
-``perfbench/``.
+run.  Those files and ``perfbench/inputs.py`` are parsed, not imported, so
+nothing is written under ``perfbench/``.
 """
 
 import ast
@@ -27,25 +28,41 @@ from doublespend import cli, race, sim, specfun
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKER = PERFBENCH / "worker.py"
+INPUTS = PERFBENCH / "inputs.py"
+GOLDEN = PERFBENCH / "golden"
 
 
-def traced_functions():
-    if not TRACER.exists():
+def module_constant(path, name):
+    """The literal value assigned to ``name`` at the top level of ``path``."""
+    if not path.exists():
         pytest.skip("perfbench/ is not next to the tests")
-    for node in ast.parse(TRACER.read_text()).body:
+    for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TRACED_FUNCTIONS" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError("TRACED_FUNCTIONS not found in perfbench/tracer.py")
+    raise AssertionError(f"{name} not found in {path.name}")
 
 
 def test_traced_functions_exist():
     missing = []
-    for module_name, names in traced_functions().items():
+    for module_name, names in module_constant(TRACER, "TRACED_FUNCTIONS").items():
         module = importlib.import_module(f"doublespend.{module_name}")
         missing += [f"{module_name}.{n}" for n in names if not callable(getattr(module, n, None))]
     assert not missing, missing
+
+
+def test_golden_csvs_regenerate_identically(tmp_path):
+    # the commands of perfbench/inputs.py's table_commands()
+    commands = [
+        (f"table_{which}.csv", ["table", "--which", which])
+        for which in module_constant(INPUTS, "TABLES")
+    ]
+    commands.append(("curve_q0.1.csv", ["curve", *module_constant(INPUTS, "CURVE_ARGS")]))
+    assert sorted(name for name, _ in commands) == sorted(p.name for p in GOLDEN.iterdir())
+    for name, argv in commands:
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0, name
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_wrapped_entry_points():
