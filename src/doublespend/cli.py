@@ -210,6 +210,7 @@ def cmd_simulate(args):
     print(f"successes={result.successes} trials={result.trials}")
     print(f"analytic={analytic:.7f}")
     print(f"z_score={z_score:+.3f}")
+    print(f"stream_version={sim.STREAM_VERSION}")  # names the streams that made p_hat
     return 1 if abs(z_score) > 5.0 else 0
 
 

@@ -4,10 +4,12 @@ Independent oracle for the analytic probabilities: the race up to the
 z-th honest block is sampled exactly (Gamma race time, Poisson attacker
 production), then the residual catch-up race is either resolved
 analytically by one Bernoulli draw ("hybrid" mode) or walked in runs
-until the attacker erases the deficit or falls deficit_cap blocks behind,
+until the attacker erases the deficit or falls far enough behind,
 where one Bernoulli draw of the exact chance from there resolves it
-("full_walk" mode).  Conditioned on an observed kappa, the race time is
-fixed at kappa z tau0/p, so only the attacker's Poisson(kappa z q/p)
+("full_walk" mode).  A walk stops at deficit_cap, or sooner, at the first
+deficit where that chance (q/p)^d is at most 2^-53, the spacing of the
+uniforms that resolve it.  Conditioned on an observed kappa, the race
+time is fixed at kappa z tau0/p, so only the attacker's Poisson(kappa z q/p)
 block count is drawn and every trial counts.
 
 Batches run concurrently, on up to one thread per CPU in the process's
@@ -16,16 +18,16 @@ ufuncs release the GIL while they fill a batch's arrays.  At most two
 batches per thread are submitted ahead, so memory is O(n) per batch in
 flight, whatever z is or how many batches a run has.
 
-Reproducibility contract, stream version 4: batch b of a run draws from a
-Philox stream seeded by SeedSequence(seed, spawn_key=(b,)), and per-batch
+Reproducibility contract, stream version 5: batch b of a run draws from an
+SFC64 stream seeded by SeedSequence(seed, spawn_key=(b,)), and per-batch
 sums are added up in batch order, so results are bit-identical for a given
 (seed, config) whatever the thread count.  Unconditioned runs draw one Gamma
 variate per race and one geometric variate per walk round; kappa-conditioned
-runs draw no Gamma variate.  Hybrid runs draw exactly as in v3.  A
-"full_walk" batch then draws one uniform per walk, which resolves the walks
-stopped at the cap, and a walk that starts at or beyond the cap takes no
-step, so its results differ from v3 wherever a capped walk can win: near
-q = 1/2, or at a small cap.  Earlier streams are not reproduced.
+runs draw no Gamma variate.  A "full_walk" batch then draws one uniform per
+walk, which resolves the walks that stopped.  Version 5 draws from SFC64
+where version 4 drew from Philox, so every stream differs from v4; its
+"full_walk" runs also stop at the 2^-53 deficit.  Earlier streams are not
+reproduced.
 """
 
 import math
@@ -50,7 +52,7 @@ __all__ = [
 ]
 
 BATCH = 1 << 14
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 _MODES = ("hybrid", "full_walk")
 
@@ -90,10 +92,10 @@ class SimResult:
 
 
 def _batches(config):
-    """Yield (n, rng) per batch of config.trials: its size and its Philox stream."""
+    """Yield (n, rng) per batch of config.trials: its size and its SFC64 stream."""
     for index, done in enumerate(range(0, config.trials, BATCH)):
         ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-        yield min(BATCH, config.trials - done), np.random.Generator(np.random.Philox(ss))
+        yield min(BATCH, config.trials - done), np.random.Generator(np.random.SFC64(ss))
 
 
 def _usable_cpus():
@@ -135,27 +137,34 @@ def _walk(q, deficit, deficit_cap, rng):
     """Gambler's-ruin catch-up; True where the attacker erases the deficit.
 
     The deficit falls by one w.p. q per step, else rises by one, until it
-    reaches 0 (a win) or deficit_cap; a walk that starts at or beyond the
-    cap takes no step.  A round draws G ~ Geometric(q): G - 1 steps up,
+    reaches 0 (a win) or the stop, min(deficit_cap, C) with C the first
+    deficit at which (q/p)^C <= 2^-53; a walk that starts at or beyond the
+    stop takes no step.  A round draws G ~ Geometric(q): G - 1 steps up,
     then one down.  After the last round one uniform is drawn per walk, and
-    a walk stopped at deficit d >= deficit_cap wins if it falls below
-    (q/p)^d, its exact chance from there, so the walk samples the catch-up
-    law exactly for any cap.
+    a walk stopped at deficit d >= stop wins if it falls below (q/p)^d, its
+    exact chance from there, so the walk samples the catch-up law exactly
+    for any stop.  Past C that chance is below the uniforms' spacing of
+    2^-53, so walking further would change no outcome that a double can
+    resolve.  At q = 1/2 there is no C and the stop is deficit_cap.
     """
+    log_lam = math.log(q / (1.0 - q))
+    stop = deficit_cap
+    if log_lam < 0.0:
+        stop = min(stop, math.ceil(53.0 * math.log(2.0) / -log_lam))
     won = np.zeros(deficit.size, dtype=bool)
-    idx = np.flatnonzero(deficit < deficit_cap)
+    idx = np.flatnonzero(deficit < stop)
     x = deficit[idx]
     while idx.size:
         g = rng.geometric(q, size=idx.size)
         x = x + g - 2
-        lost = x + (g > 1) >= deficit_cap  # after a step up, x + 1 was reached
+        lost = x + (g > 1) >= stop  # after a step up, x + 1 was reached
         won[idx[~lost & (x <= 0)]] = True
         going = ~lost & (x > 0)
         idx, x = idx[going], x[going]
-    # a walk that has not won stopped at the cap or started at or beyond it;
+    # a walk that has not won stopped at the stop or started at or beyond it;
     # a uniform per walk is cheaper than picking those walks out
-    d = np.maximum(deficit, deficit_cap)
-    return won | (rng.random(won.size) < np.exp(d * math.log(q / (1.0 - q))))
+    d = np.maximum(deficit, stop)
+    return won | (rng.random(won.size) < np.exp(d * log_lam))
 
 
 def _run_batch(split, net, z, mode, deficit_cap, rng, n, kappa=None):

@@ -275,6 +275,11 @@ class TestTable:
         assert code == 3
 
 
+def printed(out, key):
+    """The value on the ``key=`` line of a command's output."""
+    return next(line.split("=", 1)[1] for line in out.splitlines() if line.startswith(key + "="))
+
+
 class TestSimulate:
     def test_agreement_and_determinism(self, capsys):
         argv = ["simulate", "--q", "0.1", "--z", "6",
@@ -285,6 +290,16 @@ class TestSimulate:
         second = capsys.readouterr().out
         assert first == second
         assert "p_hat=" in first and "z_score=" in first
+
+    def test_last_line_names_the_stream(self, capsys):
+        argv = ["simulate", "--q", "0.3", "--z", "6", "--trials", "20000", "--seed", "8",
+                "--mode", "full_walk"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("=", 1)[0] for line in lines] == [
+            "p_hat", "std_err", "successes", "analytic", "z_score", "stream_version"
+        ]
+        assert lines[-1] == f"stream_version={sim.STREAM_VERSION}" == "stream_version=5"
 
     def test_even_split(self, capsys):
         assert main(["simulate", "--q", "0.5", "--z", "3", "--trials", "1000"]) == 0
@@ -297,7 +312,7 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert code == 0
         assert "successes=0 " in out
-        assert abs(float(out.split("z_score=")[1])) < 1.0
+        assert abs(float(printed(out, "z_score"))) < 1.0
 
     def test_mismatch_fails_the_check(self, capsys, monkeypatch):
         def off_by_far(split, net, config):
@@ -308,7 +323,7 @@ class TestSimulate:
 
         monkeypatch.setattr(sim, "estimate_success", off_by_far)
         assert main(["simulate", "--q", "0.1", "--z", "6", "--trials", "1000"]) == 1
-        assert float(capsys.readouterr().out.split("z_score=")[1]) > 5.0
+        assert float(printed(capsys.readouterr().out, "z_score")) > 5.0
 
     def test_far_kappa_tail_succeeds(self, capsys):
         # kappa = 6 at z = 6 left too few trials in the old conditioning
@@ -320,7 +335,7 @@ class TestSimulate:
         assert code == 0
         out = capsys.readouterr().out
         assert "trials=200000" in out
-        z_score = float(out.split("z_score=")[1])
+        z_score = float(printed(out, "z_score"))
         assert abs(z_score) <= 5.0
 
     @pytest.mark.parametrize("kappa", ["nan", "inf"])

@@ -61,6 +61,12 @@ class TestSampleRace:
             _, _, success = sample_race(split(0.5), net_for(0.5), 3, rng)
             assert success
 
+    def test_even_split_always_wins_full_walk(self):
+        rng = np.random.Generator(np.random.SFC64(7))
+        for _ in range(200):
+            _, _, success = sample_race(split(0.5), net_for(0.5), 3, rng, mode="full_walk")
+            assert success
+
     def test_returns_sane_values(self):
         rng = np.random.Generator(np.random.Philox(11))
         kappa, blocks, success = sample_race(split(0.3), net_for(0.3), 6, rng)
@@ -215,43 +221,70 @@ class TestEstimateSuccess:
         [
             (
                 0.1, "hybrid", 200_000, 42,
-                SimResult(successes=105, trials=200000, p_hat=0.000525,
-                          std_err=5.122130294125677e-05,
-                          mean_kappa=0.9997160754496344,
-                          mean_attacker_blocks=0.667865),
+                SimResult(successes=118, trials=200000, p_hat=0.00059,
+                          std_err=5.4297877490745436e-05,
+                          mean_kappa=0.9995658781895017,
+                          mean_attacker_blocks=0.66733),
             ),
             (
                 0.3, "full_walk", 50_000, 4,
-                SimResult(successes=7799, trials=50000, p_hat=0.15598,
-                          std_err=0.0016226536266252265,
-                          mean_kappa=0.9989197931642825,
-                          mean_attacker_blocks=2.57138),
+                SimResult(successes=7826, trials=50000, p_hat=0.15652,
+                          std_err=0.0016249399348899022,
+                          mean_kappa=1.001316220976387,
+                          mean_attacker_blocks=2.57794),
             ),
         ],
     )
     def test_unconditioned_streams_pinned(self, q, mode, trials, seed, expected):
-        # the stream version 2 results: version 3 changed only
-        # kappa-conditioned runs, and version 4 only full_walk runs whose
-        # capped walks can win, which at q = 0.3 and cap 100 (lam^100 ~ 1e-37)
-        # none does, so both keep these bit for bit
-        assert sim.STREAM_VERSION == 4
+        # the stream version 5 results, drawn from SFC64; every stream of
+        # version 4 (Philox) differs
+        assert sim.STREAM_VERSION == 5
         cfg = SimConfig(trials=trials, seed=seed, z=6, mode=mode)
-        assert estimate_success(split(q), net_for(q), cfg) == expected
+        result = estimate_success(split(q), net_for(q), cfg)
+        assert result == expected
+        exact = race.attacker_success_closed(split(q), 6)
+        assert abs(result.p_hat - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / trials)
 
     def test_kappa_conditioned_stream_pinned(self):
-        # a stream version 3 kappa-conditioned result over seven batches,
-        # unchanged in version 4; mean_kappa pins the order in which the
-        # batch sums are added
-        assert sim.STREAM_VERSION == 4
+        # a stream version 5 kappa-conditioned result over seven batches;
+        # mean_kappa pins the order in which the batch sums are added
+        assert sim.STREAM_VERSION == 5
         q, z, kappa = 0.1, 6, 1.8
         cfg = SimConfig(trials=100_000, seed=18, z=z, kappa=kappa)
         result = estimate_success(split(q), net_for(q), cfg)
-        assert result == SimResult(successes=260, trials=100000, p_hat=0.0026,
-                                   std_err=0.00016103539983494311,
+        assert result == SimResult(successes=255, trials=100000, p_hat=0.00255,
+                                   std_err=0.0001594834630925727,
                                    mean_kappa=1.8000000000000003,
-                                   mean_attacker_blocks=1.20888)
+                                   mean_attacker_blocks=1.20334)
         exact = race.conditional_probability(split(q), z, kappa)
         assert abs(result.p_hat - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / cfg.trials)
+
+    @pytest.mark.parametrize("q,stop", [(0.1, 17), (0.3, 44), (0.4, 91), (0.45, 184)])
+    def test_walk_stops_where_a_uniform_cannot_see_a_win(self, q, stop):
+        # the default cap of 100 gives the streams of a cap at min(100, C(q))
+        assert walk_stop(q) == stop
+        cap = min(100, stop)
+        cfg = SimConfig(trials=2 * sim.BATCH, seed=61, z=6, mode="full_walk")
+        at_stop = SimConfig(trials=2 * sim.BATCH, seed=61, z=6, mode="full_walk",
+                            deficit_cap=cap)
+        assert estimate_success(split(q), net_for(q), at_stop) == estimate_success(
+            split(q), net_for(q), cfg
+        )
+
+    def test_cap_binds_before_the_stop(self):
+        # C(0.45) = 184, so a walk there stops at the cap of 100, not later
+        q = 0.45
+        deficit = np.full(sim.BATCH, 6, dtype=np.int64)
+        walks = [sim._walk(q, deficit, cap, np.random.Generator(np.random.SFC64(62)))
+                 for cap in (100, 101)]
+        assert not np.array_equal(*walks)
+
+    def test_even_split_certain_full_walk(self):
+        # lam = 1 has no 2^-53 deficit; the walk stops at the cap and wins there
+        result = estimate_success(
+            split(0.5), net_for(0.5), SimConfig(trials=2000, seed=1, z=3, mode="full_walk")
+        )
+        assert result.p_hat == 1.0
 
     def test_hybrid_deep_race(self):
         q, z = 0.45, 539
@@ -367,6 +400,29 @@ class TestThreadedBatches:
 WALK_CAP = 5
 
 
+def walk_stop(q):
+    """C(q): the first deficit d at which (q/p)^d <= 2^-53, found by stepping."""
+    lam, d = q / (1.0 - q), 1
+    while lam**d > 2.0**-53:
+        d += 1
+    return d
+
+
+class CountingGenerator:
+    """A Generator that counts the geometric variates drawn from it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.SFC64(seed))
+        self.geometric_draws = 0
+
+    def geometric(self, p, size):
+        self.geometric_draws += size
+        return self.rng.geometric(p, size=size)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
 def ruin_win_probability(q, d, cap):
     """Gambler's ruin: chance the deficit hits 0 before cap, starting from d."""
     lam = q / (1.0 - q)
@@ -404,6 +460,20 @@ class TestCatchUpWalk:
         assert np.array_equal(won, uniforms < np.exp(d * math.log(lam)))
         sigma = math.sqrt(lam**d * (1.0 - lam**d) / self.TRIALS)
         assert abs(won.mean() - lam**d) <= 5.0 * sigma
+
+    def test_few_rounds_at_q01(self):
+        # the walk used to go on to the cap of 100: 12.8 geometric draws per walk
+        rng = CountingGenerator(17)
+        won = sim._walk(0.1, np.full(sim.BATCH, 6, dtype=np.int64), 100, rng)
+        assert rng.geometric_draws <= 4 * won.size
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_default_cap_matches_catch_up_law(self, d):
+        q = 0.3
+        rng = np.random.Generator(np.random.SFC64(300 + d))
+        won = sim._walk(q, np.full(self.TRIALS, d, dtype=np.int64), 100, rng)
+        exact = (q / (1.0 - q)) ** d
+        assert abs(won.mean() - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / self.TRIALS)
 
 
 class TestEstimateNegbin:

@@ -16,6 +16,7 @@ import dataclasses
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ TRACER = PERFBENCH / "tracer.py"
 WORKER = PERFBENCH / "worker.py"
 INPUTS = PERFBENCH / "inputs.py"
 GOLDEN = PERFBENCH / "golden"
+README = PERFBENCH.parent / "README.md"
 
 
 def module_constant(path, name):
@@ -125,6 +127,22 @@ def test_worker_simulator_contract():
     result_fields = {f.name for f in dataclasses.fields(sim.SimResult)}
     assert keywords <= init_fields, keywords - init_fields
     assert reads <= result_fields, reads - result_fields
+
+
+def readme_text():
+    if not README.exists():
+        pytest.skip("README.md is not next to the tests")
+    return " ".join(README.read_text().split())  # a phrase may wrap across lines
+
+
+def test_readme_stream_version_is_the_code_one():
+    assert re.findall(r"stream version (\d+)", readme_text()) == [str(sim.STREAM_VERSION)]
+
+
+def test_readme_names_the_batch_bit_generator():
+    _, rng = next(sim._batches(sim.SimConfig(trials=1, seed=0, z=1)))
+    name = type(rng.bit_generator).__name__
+    assert re.search(rf"\b{name}\b", readme_text()), name
 
 
 # scipy.integrate pulls in the other three and costs about half a second of
