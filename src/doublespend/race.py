@@ -135,7 +135,7 @@ def _logaddexp(a, b):
     m = max(a, b)
     if m == -math.inf:
         return -math.inf
-    return m + math.log(math.exp(a - m) + math.exp(b - m))
+    return m + math.log1p(math.exp(-abs(a - b)))
 
 
 def catchup_probability(split: HashSplit, n: int) -> float:
@@ -330,41 +330,26 @@ def kappa_from_times(net: NetworkParams, split: HashSplit, z: int, tau1: float) 
     return split.p * tau1 / (z * net.tau0)
 
 
-def _approx_erfcx(x):
-    """e^{x^2} erfc(x) for x >= 0, at most 21% low, by Komatsu's lower bound
-    2 / (sqrt(pi) (x + sqrt(x^2 + 2))); its first two terms at large x are exact."""
-    return 2.0 / (math.sqrt(math.pi) * (x + math.sqrt(x * x + 2.0)))
-
-
-def _asymptotic_start(split, risk, use_nakamoto):
+def _asymptotic_start(split, risk):
     """The rank at which the paper's asymptotics, to next order, put the
-    crossing of ``risk``; in [1, MAX_CONFIRMATIONS].
+    crossing of ``risk`` by Nakamoto's probability; in [1, MAX_CONFIRMATIONS].
 
-    Both probabilities behave as a(z) e^{-c z}.  For the closed form
-    c = -ln s and a(z) = erfcx(sqrt((1-s) z)), which tends to the paper's
-    1 / sqrt(pi (1-s) z).  For Nakamoto's, with lam = q/p,
-    c = lam - 1 - ln lam, and the two parts of
+    With lam = q/p and c = lam - 1 - ln lam, the two parts of
     P_SN(z) = P[Poisson(z lam) >= z] + e^{-c z} P[Poisson(z) < z] give
+    P_SN(z) ~ a(z) e^{-c z} with
     a(z) = erfcx((1-lam) sqrt(z/2)) / 2 + 1/2 - 1 / (3 sqrt(2 pi z)),
-    which tends to the paper's 1/2.  Nakamoto's a(z) takes the exact
-    erfcx from scipy; the closed form's keeps Komatsu's bound, which puts
-    its start nearer the answer near q = 1/2.  The rank solves
+    which tends to the paper's 1/2.  The rank solves
     z = ln(a(z) / risk) / c, by three fixed-point steps from z = 1.
     """
-    lam, s = split.lam, split.s
-    if use_nakamoto:
-        c = lam - 1.0 - math.log(lam)
-
-        def a(z):
-            above = 0.5 * cython_special.erfcx((1.0 - lam) * math.sqrt(0.5 * z))
-            return above + 0.5 - 1.0 / (3.0 * math.sqrt(2.0 * math.pi * z))
-    else:
-        c = -math.log(s)
-
-        def a(z):
-            return _approx_erfcx(math.sqrt((1.0 - s) * z))
+    lam = split.lam
+    c = lam - 1.0 - math.log(lam)
     if c <= 0.0:  # q so close to 1/2 that the decay rate rounds to 0
         return MAX_CONFIRMATIONS
+
+    def a(z):
+        above = 0.5 * cython_special.erfcx((1.0 - lam) * math.sqrt(0.5 * z))
+        return above + 0.5 - 1.0 / (3.0 * math.sqrt(2.0 * math.pi * z))
+
     z = 1.0
     for _ in range(3):
         z = min(max(1.0, math.log(a(z) / risk) / c), MAX_CONFIRMATIONS - 1)
@@ -376,12 +361,13 @@ def confirmations_required(
 ) -> int:
     """Smallest z >= 1 with success probability strictly below ``risk``.
 
-    The search starts where the paper's asymptotics cross ``risk`` (see
-    _asymptotic_start), gallops from there in steps of 1, 2, 4, ...
-    until it brackets the crossing, and bisects the bracket.  Both
-    probabilities decrease in z, so the answer does not depend on the
-    start.  Uses the closed form by default, Nakamoto's approximation
-    when ``use_nakamoto`` is set.
+    Uses the closed form by default, Nakamoto's approximation when
+    ``use_nakamoto`` is set.  The closed form's search starts one above
+    the a with I_s(a, 1/2) = risk, from scipy's inverse btdtria; Nakamoto's
+    where the paper's asymptotics cross ``risk`` (see _asymptotic_start).
+    From there it gallops in steps of 1, 2, 4, ... until it brackets the
+    crossing, and bisects the bracket.  Both probabilities decrease in z,
+    so the answer is their strict crossing wherever the search starts.
     """
     if not 0.0 < risk < 1.0:
         raise ValueError(f"risk must lie strictly between 0 and 1, got {risk}")
@@ -390,8 +376,13 @@ def confirmations_required(
             f"confirmations_required needs q < 0.5 (got q={split.q}): "
             "at q = 0.5 the attack always succeeds"
         )
-    prob = nakamoto_probability if use_nakamoto else attacker_success_closed
-    z = _asymptotic_start(split, risk, use_nakamoto)
+    if use_nakamoto:
+        prob, z = nakamoto_probability, _asymptotic_start(split, risk)
+    else:
+        prob = attacker_success_closed
+        a = cython_special.btdtria(risk, 0.5, split.s)
+        # a is nan where s rounds to 1, which fails the comparison
+        z = int(a) + 1 if a < MAX_CONFIRMATIONS else MAX_CONFIRMATIONS
     # find lo < hi with prob(lo) >= risk > prob(hi); prob(0) = 1 >= risk
     step = 1
     if prob(split, z) < risk:

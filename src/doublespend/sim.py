@@ -6,9 +6,9 @@ production), then the residual catch-up race is either resolved
 analytically by one Bernoulli draw ("hybrid" mode) or walked in runs
 until the attacker erases the deficit or falls far enough behind,
 where one Bernoulli draw of the exact chance from there resolves it
-("full_walk" mode).  A walk stops at deficit_cap, or sooner, at the first
-deficit where that chance (q/p)^d is at most 2^-53, the spacing of the
-uniforms that resolve it.  Conditioned on an observed kappa, the race
+("full_walk" mode).  A walk stops 100 blocks behind, or sooner, at the
+first deficit where that chance (q/p)^d is at most 2^-53, the spacing of
+the uniforms that resolve it.  Conditioned on an observed kappa, the race
 time is fixed at kappa z tau0/p, so only the attacker's Poisson(kappa z q/p)
 block count is drawn and every trial counts.
 
@@ -56,12 +56,14 @@ STREAM_VERSION = 5
 
 _MODES = ("hybrid", "full_walk")
 
+# The deficit at which a "full_walk" walk stops, where the 2^-53 deficit
+# does not come first (from about q = 0.41, and always at q = 1/2).
+_DEFICIT_CAP = 100
 
-def _check_walk(mode, deficit_cap):
-    """Reject an unknown catch-up mode or a deficit cap below one."""
+
+def _check_mode(mode):
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    _check_count("deficit_cap", deficit_cap, 1)
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,12 @@ class SimConfig:
     seed: int
     z: int
     mode: str = "hybrid"
-    deficit_cap: int = 100
     kappa: Optional[float] = None
 
     def __post_init__(self):
         _check_count("trials", self.trials, 1)
         _check_count("z", self.z, 1)
-        _check_walk(self.mode, self.deficit_cap)
+        _check_mode(self.mode)
         if self.kappa is not None:
             _check_positive("kappa", self.kappa)
 
@@ -167,7 +168,7 @@ def _walk(q, deficit, deficit_cap, rng):
     return won | (rng.random(won.size) < np.exp(d * log_lam))
 
 
-def _run_batch(split, net, z, mode, deficit_cap, rng, n, kappa=None):
+def _run_batch(split, net, z, mode, rng, n, kappa=None):
     """Simulate n races; returns (kappa_observed, attacker_blocks, success)."""
     kappa_obs, blocks = _race(split, net, z, rng, n, kappa)
     success = blocks >= z
@@ -178,7 +179,7 @@ def _run_batch(split, net, z, mode, deficit_cap, rng, n, kappa=None):
         u = rng.random(behind.size)
         success[behind] = u < np.exp(deficit * math.log(split.lam))
     else:
-        success[behind] = _walk(split.q, deficit, deficit_cap, rng)
+        success[behind] = _walk(split.q, deficit, _DEFICIT_CAP, rng)
     return kappa_obs, blocks, success
 
 
@@ -188,12 +189,11 @@ def sample_race(
     z: int,
     rng: np.random.Generator,
     mode: str = "hybrid",
-    deficit_cap: int = 100,
 ):
     """Draw one race; returns (kappa_observed, attacker_blocks, success)."""
     _check_count("z", z, 1)
-    _check_walk(mode, deficit_cap)
-    kappa_obs, blocks, success = _run_batch(split, net, z, mode, deficit_cap, rng, 1)
+    _check_mode(mode)
+    kappa_obs, blocks, success = _run_batch(split, net, z, mode, rng, 1)
     return float(kappa_obs[0]), int(blocks[0]), bool(success[0])
 
 
@@ -207,7 +207,7 @@ def estimate_success(
     """
     def tally(n, rng):
         kappa_obs, blocks, success = _run_batch(
-            split, net, config.z, config.mode, config.deficit_cap, rng, n, config.kappa
+            split, net, config.z, config.mode, rng, n, config.kappa
         )
         return int(success.sum()), float(kappa_obs.sum()), float(blocks.sum())
 

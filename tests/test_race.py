@@ -494,9 +494,12 @@ class TestConfirmationsRequired:
                     checked += 1
         assert checked >= 40
 
-    # the corners of the benchmark's solver stream, and its deep-tail probe
-    # (z_SN = 61, pinned against mpmath in test_mpmath_tails)
-    EDGES = [(0.01, 1e-2), (0.01, 1e-12), (0.45, 1e-2), (0.45, 1e-12), (0.2, 1e-17)]
+    # the corners of the benchmark's solver stream, its deep-tail probe
+    # (z_SN = 61, pinned against mpmath in test_mpmath_tails), and the
+    # least double as the risk, where btdtria puts the closed form's
+    # crossing at 697 but P(725) is still that double, so z = 726
+    EDGES = [(0.01, 1e-2), (0.01, 1e-12), (0.45, 1e-2), (0.45, 1e-12), (0.2, 1e-17),
+             (0.1, 5e-324)]
 
     @pytest.mark.parametrize("q, risk", EDGES)
     @pytest.mark.parametrize("use_nakamoto", [False, True])
@@ -529,9 +532,10 @@ class TestConfirmationsRequired:
                 solves += 1
         assert solves <= len(probes) <= 3 * solves
 
-    def test_nakamoto_probes_near_half(self, monkeypatch):
-        # near q = 1/2, (1 - lam) sqrt(z) is small and Komatsu's bound on
-        # erfcx is far off; with the exact erfcx the start stays close
+    @pytest.mark.parametrize("use_nakamoto, limit", [(False, 3), (True, 6)])
+    def test_probes_near_half(self, monkeypatch, use_nakamoto, limit):
+        # near q = 1/2, (1 - lam) sqrt(z) is small and the leading-order
+        # asymptotics are far off, yet each start must land near the answer
         rng = np.random.default_rng(49)
         points = [
             (split(q), 10.0**log_risk)
@@ -539,15 +543,24 @@ class TestConfirmationsRequired:
                 rng.uniform(0.49, 0.4995, 60), rng.uniform(-3.0, math.log10(0.98), 60)
             )
         ]
-        expected = [confirmations_scan(s, risk, True) for s, risk in points]
+        expected = [confirmations_scan(s, risk, use_nakamoto) for s, risk in points]
         probes = []
-        nakamoto = race.nakamoto_probability
+        name = "nakamoto_probability" if use_nakamoto else "attacker_success_closed"
+        prob = getattr(race, name)
 
         def probe(s, z):
             probes.append(z)
-            return nakamoto(s, z)
+            return prob(s, z)
 
-        monkeypatch.setattr(race, "nakamoto_probability", probe)
-        got = [confirmations_required(s, risk, use_nakamoto=True) for s, risk in points]
+        monkeypatch.setattr(race, name, probe)
+        got = [confirmations_required(s, risk, use_nakamoto) for s, risk in points]
         assert got == expected
-        assert len(probes) <= 6 * len(points)
+        assert len(probes) <= limit * len(points)
+
+    @pytest.mark.parametrize("use_nakamoto", [False, True])
+    def test_overflow_where_s_rounds_to_one(self, use_nakamoto):
+        # btdtria gives nan here, so the closed form starts at the guard
+        s = split(0.4999999999)
+        assert s.s == 1.0
+        with pytest.raises(OverflowError):
+            confirmations_required(s, 0.001, use_nakamoto)

@@ -25,7 +25,6 @@ class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig(trials=1000, seed=0, z=6)
         assert cfg.mode == "hybrid"
-        assert cfg.deficit_cap == 100
         assert cfg.kappa is None
 
     def test_validation(self):
@@ -36,11 +35,9 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=0, z=6, mode="analytic")
         with pytest.raises(ValueError):
-            SimConfig(trials=10, seed=0, z=6, deficit_cap=0)
-        with pytest.raises(ValueError):
             SimConfig(trials=10, seed=0, z=6, kappa=-1.0)
 
-    @pytest.mark.parametrize("field", ["trials", "z", "deficit_cap"])
+    @pytest.mark.parametrize("field", ["trials", "z"])
     @pytest.mark.parametrize("value", [2.5, 6.0, True, "6"])
     def test_rejects_non_integer_counts(self, field, value):
         # z = 2.5 used to run and return a probability
@@ -80,15 +77,15 @@ class TestSampleRace:
             sample_race(split(0.3), net_for(0.3), 0, rng)
 
     @pytest.mark.parametrize(
-        "mode, cap", [("analytic", 100), ("hybrid", 0), ("full_walk", 0), ("full_walk", 2.5)]
+        "mode, z", [("analytic", 100), ("hybrid", 0), ("full_walk", 0), ("full_walk", 2.5)]
     )
-    def test_rejects_what_simconfig_rejects(self, mode, cap):
-        # mode="analytic", deficit_cap=0 used to run a full walk that always lost
+    def test_rejects_what_simconfig_rejects(self, mode, z):
+        # mode="analytic" used to run a full walk
         rng = np.random.Generator(np.random.Philox(0))
         with pytest.raises(ValueError):
-            SimConfig(trials=10, seed=0, z=6, mode=mode, deficit_cap=cap)
+            SimConfig(trials=10, seed=0, z=z, mode=mode)
         with pytest.raises(ValueError):
-            sample_race(split(0.3), net_for(0.3), 6, rng, mode=mode, deficit_cap=cap)
+            sample_race(split(0.3), net_for(0.3), z, rng, mode=mode)
 
 
 class TestEstimateSuccess:
@@ -261,15 +258,12 @@ class TestEstimateSuccess:
 
     @pytest.mark.parametrize("q,stop", [(0.1, 17), (0.3, 44), (0.4, 91), (0.45, 184)])
     def test_walk_stops_where_a_uniform_cannot_see_a_win(self, q, stop):
-        # the default cap of 100 gives the streams of a cap at min(100, C(q))
+        # the cap of 100 gives the streams of a cap at min(100, C(q))
         assert walk_stop(q) == stop
-        cap = min(100, stop)
-        cfg = SimConfig(trials=2 * sim.BATCH, seed=61, z=6, mode="full_walk")
-        at_stop = SimConfig(trials=2 * sim.BATCH, seed=61, z=6, mode="full_walk",
-                            deficit_cap=cap)
-        assert estimate_success(split(q), net_for(q), at_stop) == estimate_success(
-            split(q), net_for(q), cfg
-        )
+        deficit = np.arange(1, sim.BATCH + 1, dtype=np.int64) % (stop + 2) + 1
+        walks = [sim._walk(q, deficit, cap, np.random.Generator(np.random.SFC64(61)))
+                 for cap in (sim._DEFICIT_CAP, min(100, stop))]
+        assert np.array_equal(*walks)
 
     def test_cap_binds_before_the_stop(self):
         # C(0.45) = 184, so a walk there stops at the cap of 100, not later

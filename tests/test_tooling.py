@@ -155,13 +155,15 @@ def test_import_leaves_heavy_scipy_unloaded():
     package_root = str(Path(doublespend.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    # the kappa-law solvers run first, so a lazy import of a root finder or
-    # an integrator in their call path shows up too
+    # the kappa-law and confirmation solvers run first, so a lazy import of
+    # a root finder or an integrator in their call path shows up too
     probe = (
         "import sys, doublespend, doublespend.cli; "
         "split = doublespend.HashSplit(0.3); "
         "doublespend.kappa_threshold(split, 100); "
         "doublespend.recover_p_by_quadrature(split, 100); "
+        "doublespend.confirmations_required(split, 1e-6); "
+        "doublespend.confirmations_required(split, 1e-6, use_nakamoto=True); "
         f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
     )
     out = subprocess.run(
