@@ -52,10 +52,6 @@ _QUAD_DEPTH = 40.0
 _QUAD_GRID = 1024
 _QUAD_NODES = 64
 
-# From this z on, the first term that _log_kappa_density leaves out of
-# Stirling's series, 1/(1188 z^9), is below 1e-15.
-_STIRLING_MIN_Z = 22
-
 
 def _check_share(q):
     if not 0.0 < q <= 0.5:
@@ -189,7 +185,14 @@ def _log_conditional(split, z, kappa):
     lam = split.lam
     x = kappa * z
     head = specfun.log_reg_lower_gamma_p(z, x * lam)
-    tail = z * math.log(lam) + x * (1.0 - lam) + specfun.log_reg_upper_gamma_q(z, x)
+    # x (1 - lam) is inf only where kappa z overflows; Q(z, x) = 0 there, and
+    # taking it as 0 makes the tail -inf rather than inf - inf
+    growth = x * (1.0 - lam)
+    if isinstance(growth, np.ndarray):
+        growth[growth == math.inf] = 0.0
+    elif growth == math.inf:
+        growth = 0.0
+    tail = z * math.log(lam) + growth + specfun.log_reg_upper_gamma_q(z, x)
     return _logaddexp(head, tail)
 
 
@@ -224,19 +227,11 @@ def _log_kappa_density(z, kappa):
     """ln f_z(kappa), elementwise if kappa is a numpy array.
 
     Written as -z (kappa - 1 - ln kappa) - ln kappa + ln(z^z e^{-z} / Gamma(z)),
-    where no two terms of size z ln z cancel.  The last term is Stirling's
-    ln(z / 2 pi) / 2 - r(z) with r(z) = 1/(12z) - 1/(360z^3) + 1/(1260z^5)
-    - 1/(1680z^7) from _STIRLING_MIN_Z on, and taken from lgamma below it.
+    where no two terms of size z ln z cancel; the last term is
+    specfun._log_gamma_norm.
     """
     log_kappa = np.log(kappa)
-    if z >= _STIRLING_MIN_Z:
-        w = 1.0 / z
-        w2 = w * w
-        remainder = w * (1 / 12 - w2 * (1 / 360 - w2 * (1 / 1260 - w2 / 1680)))
-        norm = 0.5 * math.log(z / (2.0 * math.pi)) - remainder
-    else:
-        norm = z * math.log(z) - z - specfun.log_gamma(float(z))
-    return norm - z * (kappa - 1.0 - log_kappa) - log_kappa
+    return specfun._log_gamma_norm(z) - z * (kappa - 1.0 - log_kappa) - log_kappa
 
 
 def kappa_density(z: int, kappa: float) -> float:
@@ -377,7 +372,7 @@ def confirmations_required(
             "at q = 0.5 the attack always succeeds"
         )
     if use_nakamoto:
-        prob, z = nakamoto_probability, _asymptotic_start(split, risk)
+        prob, z, a = nakamoto_probability, _asymptotic_start(split, risk), math.nan
     else:
         prob = attacker_success_closed
         a = cython_special.btdtria(risk, 0.5, split.s)
@@ -398,8 +393,9 @@ def confirmations_required(
             lo, step = hi, 2 * step
             hi = min(lo + step, MAX_CONFIRMATIONS)
         if lo == MAX_CONFIRMATIONS:
+            near = f"; btdtria puts the crossing near z = {a:.3g}" if a < math.inf else ""
             raise OverflowError(
-                f"no z <= {MAX_CONFIRMATIONS} reaches risk {risk} at q={split.q}"
+                f"no z <= {MAX_CONFIRMATIONS} reaches risk {risk} at q={split.q}{near}"
             )
     while hi - lo > 1:
         mid = (lo + hi) // 2

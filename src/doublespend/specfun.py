@@ -8,9 +8,11 @@ The incomplete gamma values come from ``scipy.special.gammainc`` /
 ``gammaincc`` (Temme's uniform asymptotics near the transition x = s),
 and the log incomplete beta from ``scipy.special.betainc``.  The log
 functions take the log of that value; only where it falls below about
-1e-300 do they switch to a log-space series (for P) or continued
-fraction (for Q and I_x), so tails below the smallest positive double
-stay finite.  For numbers they call the scalar entry points in
+1e-300 do they work in log space, so tails below the smallest positive
+double stay finite: ln P from scipy's Kummer function ``hyp1f1``, ln Q
+and ln I_x from hand-rolled continued fractions (scipy's ``hyperu`` takes
+up to 0.1 s a call at s = 10^6, its ``hyp2f1`` gives nan for the beta
+tail at q = 0.49).  For numbers they call the scalar entry points in
 ``scipy.special.cython_special``: the same kernels without the
 microsecond of array dispatch a ufunc spends on each scalar.  Given a
 numpy array (s for the gamma functions, a for the beta) of any shape,
@@ -20,7 +22,9 @@ fallback only on the elements below the floor; each element is
 bit-identical to the scalar call at its arguments.
 
 The linear ``reg_inc_beta`` is still hand-rolled (a continued fraction
-with its prefactor assembled in log space).
+with its prefactor assembled in log space): the last bits of its values
+decide tied cells of the published tables, and every scipy route tried
+moved some of them.
 """
 
 import math
@@ -44,8 +48,7 @@ __all__ = [
 # gamma or beta value is evaluated in log space instead of taken from scipy
 _TINY = 1e-300
 _REL_EPS = 1e-14
-# At the 1e-300 switch the log-space gamma series needs about 0.8 sqrt(s)
-# terms (770 at s = 10^6); the continued fractions need far fewer.
+# iteration cap of the two continued fractions
 _MAX_ITER = 5000
 # an argument of this type makes a log function run its ufunc over all of it
 _ARRAY = np.ndarray
@@ -193,25 +196,53 @@ def log_reg_inc_beta(x: float, a, b: float):
 # Regularized incomplete gamma
 # --------------------------------------------------------------------------
 
-def _log_lower_gamma_series(s, x):
-    """ln P(s, x) by the lower series; fast where P is tiny (x well below s)."""
-    term = 1.0
-    total = 1.0
-    ap = s
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if term < total * _REL_EPS:
-            return s * math.log(x) - x - log_gamma(s + 1.0) + math.log(total)
-    raise ConvergenceError(
-        f"lower incomplete gamma series did not converge "
-        f"(s={s}, x={x}, max_iter={_MAX_ITER})"
-    )
+# From this s on, the first term that _log_gamma_norm leaves out of
+# Stirling's series, 1/(1188 s^9), is below 1e-15.
+_STIRLING_MIN_S = 22
+
+
+def _log_gamma_norm(s):
+    """ln(s^s e^{-s} / Gamma(s)), where no two terms of size s ln s cancel:
+    Stirling's ln(s / 2 pi) / 2 - r(s) with r(s) = 1/(12s) - 1/(360s^3)
+    + 1/(1260s^5) - 1/(1680s^7) from _STIRLING_MIN_S on, lgamma below it."""
+    if s >= _STIRLING_MIN_S:
+        w = 1.0 / s
+        w2 = w * w
+        remainder = w * (1 / 12 - w2 * (1 / 360 - w2 * (1 / 1260 - w2 / 1680)))
+        return 0.5 * math.log(s / (2.0 * math.pi)) - remainder
+    return s * math.log(s) - s - math.lgamma(s)
+
+
+def _log_gamma_prefactor(s, x):
+    """ln(x^s e^{-x} / Gamma(s)) = _log_gamma_norm(s) - s c(x/s), c(t) = t - 1 - ln t.
+
+    Where |x - s| < s/2, c(1 + u) is summed as u v - 2 v^3 (1/3 + v^2/5 + ...),
+    v = u/(2 + u), since u - log1p(u) loses about 1/|u| ulps to cancellation;
+    elsewhere ln t is log(x/s), or log x - log s where x/s is not normal."""
+    d = x - s
+    if abs(d) < 0.5 * s:
+        u = d / s
+        v = u / (2.0 + u)
+        v2 = v * v
+        total, term, k = 1.0 / 3.0, v2, 5.0
+        while term > 1e-17 * total:
+            total, term, k = total + term / k, term * v2, k + 2.0
+        return _log_gamma_norm(s) - s * (u * v - 2.0 * v * v2 * total)
+    t = x / s
+    log_t = math.log(t) if _TINY < t < math.inf else math.log(x) - math.log(s)
+    return _log_gamma_norm(s) - (d - s * log_t)
+
+
+def _log_lower_gamma_kummer(s, x):
+    """ln P(s, x) by Kummer's function, P(s, x) = x^s e^{-x} M(1, s + 1, x) / Gamma(s + 1)."""
+    m = cython_special.hyp1f1(1.0, s + 1.0, float(x))
+    return _log_gamma_prefactor(s, x) - math.log(s) + math.log(m)
 
 
 def _log_upper_gamma_cf(s, x):
     """ln Q(s, x) by the continued fraction; fast where Q is tiny (x well above s)."""
+    if x == math.inf:
+        return -math.inf
     b = x + 1.0 - s
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -229,7 +260,7 @@ def _log_upper_gamma_cf(s, x):
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _REL_EPS:
-            return s * math.log(x) - x - log_gamma(s) + math.log(h)
+            return _log_gamma_prefactor(s, x) + math.log(h)
     raise ConvergenceError(
         f"upper incomplete gamma continued fraction did not converge "
         f"(s={s}, x={x}, max_iter={_MAX_ITER})"
@@ -256,10 +287,11 @@ def reg_upper_gamma_q(s: float, x: float) -> float:
 def log_reg_upper_gamma_q(s, x):
     """ln Q(s, x); finite for x far above s where Q underflows.  Elementwise
     if s is a numpy array (x a number or an array of the same shape)."""
-    if isinstance(s, _ARRAY):
-        _check_gamma_args("log_reg_upper_gamma_q", s.min(), np.asarray(x).min())
+    array = isinstance(s, _ARRAY)
+    _check_gamma_args(
+        "log_reg_upper_gamma_q", s.min() if array else s, np.asarray(x).min() if array else x)
+    if array:
         return _log_or_fallback(special.gammaincc(s, x), _log_upper_gamma_cf, s, x)
-    _check_gamma_args("log_reg_upper_gamma_q", s, x)
     v = cython_special.gammaincc(s, x)
     if v >= _TINY:
         return math.log(v)
@@ -269,15 +301,12 @@ def log_reg_upper_gamma_q(s, x):
 def log_reg_lower_gamma_p(s, x):
     """ln P(s, x) = ln(1 - Q(s, x)); finite for x far below s.  Elementwise
     if s is a numpy array (x a number or an array of the same shape)."""
-    if isinstance(s, _ARRAY):
-        if not (s.min() > 0.0 and np.asarray(x).min() > 0.0):
-            raise ValueError(f"log_reg_lower_gamma_p requires s > 0 and x > 0, got s={s}, x={x}")
-        return _log_or_fallback(special.gammainc(s, x), _log_lower_gamma_series, s, x)
-    if not s > 0.0:
-        raise ValueError(f"log_reg_lower_gamma_p requires s > 0, got s={s}")
-    if not x > 0.0:
-        raise ValueError(f"log_reg_lower_gamma_p requires x > 0, got x={x}")
+    array = isinstance(s, _ARRAY)
+    if not ((s.min() if array else s) > 0.0 and (np.asarray(x).min() if array else x) > 0.0):
+        raise ValueError(f"log_reg_lower_gamma_p requires s > 0 and x > 0, got s={s}, x={x}")
+    if array:
+        return _log_or_fallback(special.gammainc(s, x), _log_lower_gamma_kummer, s, x)
     v = cython_special.gammainc(s, x)
     if v >= _TINY:
         return math.log(v)
-    return _log_lower_gamma_series(s, x)
+    return _log_lower_gamma_kummer(s, x)

@@ -82,6 +82,9 @@ class TestConditional:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        # the largest finite kappas are in the domain, though kappa z overflows
+        assert main(["conditional", "--q", "0.3", "--z", "10", "--kappa", "1.7e308"]) == 0
+        assert "1.0000000 (100.00%)" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "extra", [["--z", "6", "--kappa", "0"], ["--z", "6", "--tau1-minutes", "0"],

@@ -122,7 +122,7 @@ def test_log_upper_gamma_agrees_across_switch(s, x):
 
 @pytest.mark.parametrize("s, x", LOWER_POINTS)
 def test_log_lower_gamma_agrees_across_switch(s, x):
-    series = specfun._log_lower_gamma_series(s, x)
+    series = specfun._log_lower_gamma_kummer(s, x)
     assert abs(series - math.log(special.gammainc(s, x))) <= 1e-12
     with mp.workdps(DPS):
         ref = mp.log(mp.gammainc(s, 0, x, regularized=True))
@@ -134,6 +134,41 @@ def test_switch_points_straddle_the_threshold():
         values = [fn(s, x) for s, x in points]
         assert values[0] > 1e-300 > values[1]
         assert values[2] > 1e-300 > values[3]
+
+
+def log_gamma_tail_mp(s, x, upper):
+    """ln Q(s, x) if ``upper``, else ln P(s, x), for integer s in mpmath:
+    the Poisson sums Q = P[Poisson(x) < s] and P = P[Poisson(x) >= s],
+    summed outwards from their term at k = s - 1 or k = s.  All terms are
+    positive, so nothing cancels; mpmath's own gammainc does not converge
+    for the upper function at large s."""
+    with mp.workdps(DPS):
+        x = mp.mpf(x)
+        k = s - 1 if upper else s
+        log_first = k * mp.log(x) - x - mp.loggamma(k + 1)
+        term = total = mp.mpf(1)
+        while term > total * mp.mpf(10) ** -(DPS + 2) and k > 0:
+            term *= k / x if upper else x / (k + 1)
+            k += -1 if upper else 1
+            total += term
+        return log_first + mp.log(total)
+
+
+@pytest.mark.parametrize("s", [6, 21, 22, 100, 10**3, 10**4, 10**5, 10**6])
+def test_log_gamma_tails_within_ulps(s):
+    # below 1e-300 on both sides of s, from next to the 1e-300 switch out to
+    # x far from s; each within 8 ulps of its log, or of 1
+    lower = special.gammaincinv(s, 1e-300) * np.array([1 - 1e-4, 0.9, 0.5, 1e-3])
+    upper = special.gammainccinv(s, 1e-300) * np.array([1 + 1e-4, 1.1, 2.0, 100.0])
+    assert special.gammainc(s, lower).max() < 1e-300 > special.gammaincc(s, upper).max()
+    for fn, xs, is_upper in (
+        (specfun.log_reg_lower_gamma_p, lower, False),
+        (specfun.log_reg_upper_gamma_q, upper, True),
+    ):
+        for x in xs.tolist():
+            got = fn(float(s), x)
+            ref = log_gamma_tail_mp(s, x, is_upper)
+            assert abs(got - ref) <= 8 * 2.0**-52 * max(1, abs(ref)), (s, x, got, ref)
 
 
 def log_success_closed_mp(q, z_max):

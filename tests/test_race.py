@@ -325,6 +325,10 @@ class TestConditionalProbability:
         # kappa z (p-q)/p ~ 1.6e4 would overflow exp() if taken directly
         value = conditional_probability(split(0.1), 200, 100.0)
         assert 0.0 <= value <= 1.0
+        # kappa z overflows to inf, where Q(z, kappa z) = 0 and P(z, kappa) -> 1
+        assert conditional_probability(split(0.3), 10, 1.7e308) == 1.0
+        with np.errstate(over="ignore"):
+            assert race._conditional_over_kappa(split(0.3), 10, [1.0, 1.7e308])[1] == 1.0
 
 
 class TestKappaDensity:

@@ -202,6 +202,12 @@ class TestRegUpperGammaQ:
         # Q(100, 1000) is far below the smallest positive double
         log_q = log_reg_upper_gamma_q(100.0, 1000.0)
         assert -680.0 < log_q < -670.0
+        # integer arguments reach the log-space paths too
+        assert log_reg_lower_gamma_p(1000, 1) == log_reg_lower_gamma_p(1000.0, 1.0) < -5900.0
+        # Q(s, inf) = 0, where the continued fraction would not converge
+        assert log_reg_upper_gamma_q(6.0, math.inf) == -math.inf
+        log_qs = log_reg_upper_gamma_q(np.array([6.0, 6.0]), np.array([1.0, math.inf]))
+        assert log_qs[1] == -math.inf
         assert math.exp(log_reg_upper_gamma_q(6.0, 24.0)) == pytest.approx(
             reg_upper_gamma_q(6.0, 24.0), rel=1e-12
         )

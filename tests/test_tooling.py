@@ -164,6 +164,9 @@ def test_import_leaves_heavy_scipy_unloaded():
         "doublespend.recover_p_by_quadrature(split, 100); "
         "doublespend.confirmations_required(split, 1e-6); "
         "doublespend.confirmations_required(split, 1e-6, use_nakamoto=True); "
+        # below 1e-300: the lower tail from hyp1f1, the upper from the continued fraction
+        "doublespend.nakamoto_probability(split, 5000); "
+        "doublespend.conditional_probability(split, 300, 5.0); "
         f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
     )
     out = subprocess.run(
