@@ -142,23 +142,28 @@ def z0_sufficient(split: race.HashSplit) -> int:
     return max(1, math.ceil(max(first, second)))
 
 
+def _bad_rank(split, w):
+    """Whether Nakamoto's probability is at or above the exact one at rank w,
+    elementwise if w is an integer numpy array; compared on logarithms so
+    deep tails do not underflow to a spurious tie."""
+    return race._log_nakamoto(split, w) >= race._log_success_closed(split, w)
+
+
 def z0_sharp(split: race.HashSplit) -> int:
     """Smallest z >= 2 with Nakamoto's probability strictly below the
     exact one for every rank in [z, z + _Z0_WINDOW - 1].
 
-    Comparison is done on logarithms so deep tails do not underflow to a
-    spurious tie.  Ranks from z0_sufficient on are proven good by the
-    decay-rate inequality log(1/s) < c(q/p) and are not evaluated; below
-    it both logarithms are evaluated over a block of ranks at once, and
-    while no run of _Z0_WINDOW good ranks has closed, the next block
-    doubles the ranks covered.
+    Ranks from z0_sufficient on are proven good by the decay-rate
+    inequality log(1/s) < c(q/p) and are not evaluated; below it ranks are
+    tested by _bad_rank over a block at once, and while no run of _Z0_WINDOW
+    good ranks has closed, the next block doubles the ranks covered.
     """
     _check_args(split)
     proven = z0_sufficient(split)
     last_bad, lo, hi = 1, 2, _Z0_WINDOW + 2
     while lo < proven:
         w = np.arange(lo, min(hi, proven))
-        bad = w[race._log_nakamoto(split, w) >= race._log_success_closed(split, w)]
+        bad = w[_bad_rank(split, w)]
         # bad ranks, bracketed by the last one before lo and by hi, so each
         # gap minus one is a run of good ranks
         ranks = np.concatenate(([last_bad], bad, [hi]))

@@ -26,6 +26,8 @@ __all__ = ["main", "build_parser"]
 SATOSHI_KAPPAS = [round(0.1 * i, 1) for i in range(1, 36)]
 SATOSHI_QS = [round(0.02 * i, 2) for i in range(1, 14)]
 CONFIRMATION_QS = [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
+# the q range of the z0 table's bisections, and the width they stop at
+_Z0_Q_LO, _Z0_Q_HI, _Z0_Q_TOL = 0.001, 0.4999, 1e-4
 
 
 def _split(q):
@@ -51,8 +53,7 @@ def cmd_prob(args):
 def cmd_conditional(args):
     split = _split(args.q)
     if (args.kappa is None) == (args.tau1_minutes is None):
-        print("error: give exactly one of --kappa or --tau1-minutes", file=sys.stderr)
-        return 2
+        raise ValueError("give exactly one of --kappa or --tau1-minutes")
     net = race.NetworkParams.for_split(split, tau0=args.tau0_minutes)
     kappa = args.kappa
     if args.tau1_minutes is not None:
@@ -101,32 +102,26 @@ def _bisect(pred, lo, hi, tol):
     return lo, hi
 
 
-def _z0_boundary(k, z0_at, lo=0.001, hi=0.4999, tol=1e-4):
+def _z0_boundary(k, z0_at):
     """Smallest q at which z0_at(q), the sharp rank z0, reaches k, by bisection.
 
     The bisection needs z0 non-decreasing in q; that is unproven, but a scan
     of 4000 q in [0.001, 0.499] found no decrease.  It is first run on a cheap
     guide, whether rank k - 1 is bad (P_SN >= P there), and the guide's final
-    cell [a, b] is kept if z0_at(a) < k <= z0_at(b) (an end at lo or hi counts
-    as checked, as in the plain bisection).  The leaf cells of the halving tree
-    partition [lo, hi], and for a non-decreasing z0 exactly one of them passes
-    that check: the one the plain bisection on z0_at ends in.  So the answer
-    does not depend on the guide being right; where it is wrong, the plain
-    bisection runs.
+    cell [a, b] is kept if z0_at(a) < k <= z0_at(b) (an end of the q range
+    counts as checked, as in the plain bisection).  The leaf cells of the
+    halving tree partition the q range, and for a non-decreasing z0 exactly
+    one of them passes that check: the one the plain bisection on z0_at ends
+    in.  So the answer does not depend on the guide being right; where it is
+    wrong, the plain bisection runs.
     """
+    lo, hi = _Z0_Q_LO, _Z0_Q_HI
     if z0_at(lo) >= k:
         return 0.0
-
-    def rank_bad(q):
-        split = _split(q)
-        return race.nakamoto_probability(split, k - 1) >= race.attacker_success_closed(
-            split, k - 1
-        )
-
-    a, b = _bisect(rank_bad, lo, hi, tol)
+    a, b = _bisect(lambda q: asymptotics._bad_rank(_split(q), k - 1), lo, hi, _Z0_Q_TOL)
     if (a == lo or z0_at(a) < k) and (b == hi or z0_at(b) >= k):
         return b
-    return _bisect(lambda q: z0_at(q) >= k, lo, hi, tol)[1]
+    return _bisect(lambda q: z0_at(q) >= k, lo, hi, _Z0_Q_TOL)[1]
 
 
 def cmd_table(args):
@@ -216,12 +211,9 @@ def cmd_simulate(args):
 
 def cmd_curve(args):
     if args.kappa_min <= 0.0 or args.kappa_max > 20.0 or args.kappa_min > args.kappa_max:
-        print(
-            f"error: kappa range must lie within (0, 20], got "
-            f"[{args.kappa_min}, {args.kappa_max}]",
-            file=sys.stderr,
+        raise ValueError(
+            f"kappa range must lie within (0, 20], got [{args.kappa_min}, {args.kappa_max}]"
         )
-        return 2
     split = _split(args.q)
     kappas = _frange(args.kappa_min, args.kappa_max, args.kappa_step)
     rows = [

@@ -220,7 +220,9 @@ def _conditional_over_kappa(split, z, kappa):
     kappa = np.asarray(kappa, dtype=float)
     if split.q == 0.5:
         return np.ones(kappa.shape)
-    return np.clip(np.exp(_log_conditional(split, np.full(kappa.shape, z), kappa)), 0.0, 1.0)
+    with np.errstate(over="ignore"):  # kappa z may overflow to inf, where Q(z, inf) = 0
+        log_p = _log_conditional(split, np.full(kappa.shape, z), kappa)
+    return np.clip(np.exp(log_p), 0.0, 1.0)
 
 
 def _log_kappa_density(z, kappa):

@@ -2,15 +2,14 @@
 
 Independent oracle for the analytic probabilities: the race up to the
 z-th honest block is sampled exactly (Gamma race time, Poisson attacker
-production), then the residual catch-up race is either resolved
-analytically by one Bernoulli draw ("hybrid" mode) or walked in runs
-until the attacker erases the deficit or falls far enough behind,
-where one Bernoulli draw of the exact chance from there resolves it
-("full_walk" mode).  A walk stops 100 blocks behind, or sooner, at the
-first deficit where that chance (q/p)^d is at most 2^-53, the spacing of
-the uniforms that resolve it.  Conditioned on an observed kappa, the race
-time is fixed at kappa z tau0/p, so only the attacker's Poisson(kappa z q/p)
-block count is drawn and every trial counts.
+production), then the residual catch-up race is walked in runs until the
+attacker erases the deficit or falls far enough behind, where one Bernoulli
+draw of the exact chance from there, (q/p)^d, resolves it.  A "hybrid" walk
+stops at once; a "full_walk" walk stops 100 blocks behind, or sooner, at the
+first deficit where (q/p)^d is at most 2^-53, the spacing of the uniforms
+that resolve it.  Conditioned on an observed kappa, the race time is fixed
+at kappa z tau0/p, so only the attacker's Poisson(kappa z q/p) block count
+is drawn and every trial counts.
 
 Batches run concurrently, on up to one thread per CPU in the process's
 affinity set (a cgroup CPU quota is not read); numpy's samplers and
@@ -23,8 +22,8 @@ SFC64 stream seeded by SeedSequence(seed, spawn_key=(b,)), and per-batch
 sums are added up in batch order, so results are bit-identical for a given
 (seed, config) whatever the thread count.  Unconditioned runs draw one Gamma
 variate per race and one geometric variate per walk round; kappa-conditioned
-runs draw no Gamma variate.  A "full_walk" batch then draws one uniform per
-walk, which resolves the walks that stopped.  Version 5 draws from SFC64
+runs draw no Gamma variate.  A batch then draws one uniform per walk, which
+resolves the walks that stopped.  Version 5 draws from SFC64
 where version 4 drew from Philox, so every stream differs from v4; its
 "full_walk" runs also stop at the 2^-53 deficit.  Earlier streams are not
 reproduced.
@@ -54,16 +53,22 @@ __all__ = [
 BATCH = 1 << 14
 STREAM_VERSION = 5
 
-_MODES = ("hybrid", "full_walk")
-
 # The deficit at which a "full_walk" walk stops, where the 2^-53 deficit
 # does not come first (from about q = 0.41, and always at q = 1/2).
 _DEFICIT_CAP = 100
 
+# Each mode's stop for _walk; a race leaves a deficit >= 1, so hybrid takes no step
+_STOPS = {"hybrid": 1, "full_walk": _DEFICIT_CAP}
+
 
 def _check_mode(mode):
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode not in _STOPS:
+        raise ValueError(f"mode must be one of {tuple(_STOPS)}, got {mode!r}")
+
+
+def _check_net(split, net):
+    if net.q != split.q:
+        raise ValueError(f"net.q={net.q} does not match split.q={split.q}")
 
 
 @dataclass(frozen=True)
@@ -140,32 +145,30 @@ def _walk(q, deficit, deficit_cap, rng):
     The deficit falls by one w.p. q per step, else rises by one, until it
     reaches 0 (a win) or the stop, min(deficit_cap, C) with C the first
     deficit at which (q/p)^C <= 2^-53; a walk that starts at or beyond the
-    stop takes no step.  A round draws G ~ Geometric(q): G - 1 steps up,
-    then one down.  After the last round one uniform is drawn per walk, and
-    a walk stopped at deficit d >= stop wins if it falls below (q/p)^d, its
-    exact chance from there, so the walk samples the catch-up law exactly
-    for any stop.  Past C that chance is below the uniforms' spacing of
-    2^-53, so walking further would change no outcome that a double can
-    resolve.  At q = 1/2 there is no C and the stop is deficit_cap.
+    stop, as every walk does for deficit_cap = 1, takes no step.  A round
+    draws G ~ Geometric(q): G - 1 steps up, then one down.  Then one uniform
+    per walk is tested against (q/p)^power, its exact chance from where it
+    stopped: power is 0 after a win, else that deficit, so the walk samples
+    the catch-up law exactly for any stop.  Past C that chance is below the
+    uniforms' spacing of 2^-53, so walking further would change no outcome
+    that a double can resolve.  At q = 1/2 there is no C and the stop is
+    deficit_cap.
     """
     log_lam = math.log(q / (1.0 - q))
     stop = deficit_cap
     if log_lam < 0.0:
         stop = min(stop, math.ceil(53.0 * math.log(2.0) / -log_lam))
-    won = np.zeros(deficit.size, dtype=bool)
+    power = np.maximum(deficit, stop)
     idx = np.flatnonzero(deficit < stop)
     x = deficit[idx]
     while idx.size:
         g = rng.geometric(q, size=idx.size)
         x = x + g - 2
         lost = x + (g > 1) >= stop  # after a step up, x + 1 was reached
-        won[idx[~lost & (x <= 0)]] = True
+        power[idx[~lost & (x <= 0)]] = 0
         going = ~lost & (x > 0)
         idx, x = idx[going], x[going]
-    # a walk that has not won stopped at the stop or started at or beyond it;
-    # a uniform per walk is cheaper than picking those walks out
-    d = np.maximum(deficit, stop)
-    return won | (rng.random(won.size) < np.exp(d * log_lam))
+    return rng.random(power.size) < np.exp(power * log_lam)
 
 
 def _run_batch(split, net, z, mode, rng, n, kappa=None):
@@ -173,13 +176,7 @@ def _run_batch(split, net, z, mode, rng, n, kappa=None):
     kappa_obs, blocks = _race(split, net, z, rng, n, kappa)
     success = blocks >= z
     behind = np.nonzero(~success)[0]
-    deficit = z - blocks[behind]
-    if mode == "hybrid":
-        # resolve the residual race analytically: win prob (q/p)^deficit
-        u = rng.random(behind.size)
-        success[behind] = u < np.exp(deficit * math.log(split.lam))
-    else:
-        success[behind] = _walk(split.q, deficit, _DEFICIT_CAP, rng)
+    success[behind] = _walk(split.q, z - blocks[behind], _STOPS[mode], rng)
     return kappa_obs, blocks, success
 
 
@@ -193,6 +190,7 @@ def sample_race(
     """Draw one race; returns (kappa_observed, attacker_blocks, success)."""
     _check_count("z", z, 1)
     _check_mode(mode)
+    _check_net(split, net)
     kappa_obs, blocks, success = _run_batch(split, net, z, mode, rng, 1)
     return float(kappa_obs[0]), int(blocks[0]), bool(success[0])
 
@@ -205,6 +203,8 @@ def estimate_success(
     With config.kappa set, every race is conditioned on exactly that
     observed kappa and the conditional frequency is reported.
     """
+    _check_net(split, net)
+
     def tally(n, rng):
         kappa_obs, blocks, success = _run_batch(
             split, net, config.z, config.mode, rng, n, config.kappa
@@ -231,20 +231,18 @@ def estimate_success(
     )
 
 
-def estimate_negbin(split: HashSplit, z: int, config: SimConfig) -> np.ndarray:
-    """Histogram of the attacker block count at the z-th honest block.
+def estimate_negbin(split: HashSplit, config: SimConfig) -> np.ndarray:
+    """Histogram of the attacker block count at the config.z-th honest block.
 
-    Returns counts indexed by k, length at least z + 31; the law is
-    independent of the network time scale so tau0 = 1 is used.  Only the
-    trial count and seed of ``config`` are used: its z must equal ``z``,
-    and a kappa-conditioned config is rejected, since the histogram is of
-    the unconditioned race.
+    Returns counts indexed by k, length at least config.z + 31; the law is
+    independent of the network time scale so tau0 = 1 is used.  A
+    kappa-conditioned config is rejected, since the histogram is of the
+    unconditioned race.
     """
-    if config.z != z:
-        raise ValueError(f"config.z={config.z} does not match z={z}")
     if config.kappa is not None:
         raise ValueError("estimate_negbin draws unconditioned races; config.kappa must be None")
     net = NetworkParams.for_split(split, tau0=1.0)
+    z = config.z
     counts = np.zeros(z + 31, dtype=np.int64)
     for part in _map_batches(config, lambda n, rng: np.bincount(_race(split, net, z, rng, n)[1])):
         if part.size > counts.size:

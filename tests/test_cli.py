@@ -101,7 +101,9 @@ class TestConditional:
         assert "(79.66%)" in capsys.readouterr().out
 
     def test_requires_exactly_one_time_input(self, capsys):
+        line = "error: give exactly one of --kappa or --tau1-minutes\n"
         assert main(["conditional", "--q", "0.1", "--z", "3"]) == 2
+        assert capsys.readouterr().err == line
         assert (
             main(
                 ["conditional", "--q", "0.1", "--z", "3",
@@ -109,6 +111,7 @@ class TestConditional:
             )
             == 2
         )
+        assert capsys.readouterr().err == line
 
 
 class TestConfirmations:
@@ -461,8 +464,14 @@ class TestCurve:
              "--kappa-min", "0", "--kappa-max", "4", "--out", "x.csv"]
         )
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: kappa range must lie within (0, 20], got [0.0, 4.0]\n"
+        )
         code = main(
             ["curve", "--q", "0.1", "--z", "6",
              "--kappa-min", "1", "--kappa-max", "25", "--out", "x.csv"]
         )
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: kappa range must lie within (0, 20], got [1.0, 25.0]\n"
+        )

@@ -95,8 +95,8 @@ def test_conditional_where_tail_needs_log_path():
 
 @pytest.mark.parametrize("q, kappa", [(0.3, 2.2), (0.45, 1.15)])
 def test_million_confirmations_in_log_space(q, kappa):
-    # kappa lam is just below 1, where ln P(z, kappa z lam) needs ~770
-    # series terms; the value underflows, so its log is what is held
+    # kappa lam is just below 1, where ln P(z, kappa z lam) comes from
+    # hyp1f1; the value underflows, so its log is what is held
     z = 10**6
     s = split(q)
     assert_close(race.conditional_probability(s, z, kappa), conditional_mp(q, z, kappa))

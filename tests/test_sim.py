@@ -153,6 +153,15 @@ class TestEstimateSuccess:
             exact * (1.0 - exact) / result.trials
         )
 
+    def test_rejects_net_for_another_share(self):
+        # the race time and attacker blocks came from net.q and the catch-up
+        # from split.q: p_hat was 0.087 here, P is 5.9e-4 at q = 0.1
+        net = NetworkParams(tau0=10.0, q=0.3)
+        with pytest.raises(ValueError, match="net.q"):
+            estimate_success(split(0.1), net, SimConfig(trials=200_000, seed=1, z=6))
+        with pytest.raises(ValueError, match="net.q"):
+            sample_race(split(0.1), net, 6, np.random.Generator(np.random.SFC64(1)))
+
     def test_even_split_certain(self):
         result = estimate_success(
             split(0.5), net_for(0.5), SimConfig(trials=2000, seed=1, z=3)
@@ -342,9 +351,9 @@ class TestThreadedBatches:
     def test_negbin_bit_identical_to_serial(self, monkeypatch):
         cfg = SimConfig(trials=self.TRIALS, seed=124, z=6)
         force_workers(monkeypatch, 1)
-        serial = estimate_negbin(split(0.3), 6, cfg)
+        serial = estimate_negbin(split(0.3), cfg)
         pools = force_workers(monkeypatch, 4)
-        threaded = estimate_negbin(split(0.3), 6, cfg)
+        threaded = estimate_negbin(split(0.3), cfg)
         assert pools == [4]
         assert np.array_equal(threaded, serial)
 
@@ -474,7 +483,7 @@ class TestEstimateNegbin:
     def test_distribution_close_in_total_variation(self):
         q, z, trials = 0.3, 6, 400_000
         s = split(q)
-        counts = estimate_negbin(s, z, SimConfig(trials=trials, seed=13, z=z))
+        counts = estimate_negbin(s, SimConfig(trials=trials, seed=13, z=z))
         total = counts.sum()
         assert total == trials
         tv = 0.0
@@ -483,33 +492,28 @@ class TestEstimateNegbin:
             tv += abs(empirical - race.negbin_pmf(s, z, k))
         assert 0.5 * tv <= 5.0 / math.sqrt(trials)
 
-    def test_rejects_config_for_another_z(self):
-        # used to histogram z=6 silently for a config with z=20
-        with pytest.raises(ValueError, match="z"):
-            estimate_negbin(split(0.3), 6, SimConfig(trials=100, seed=13, z=20))
-
     def test_rejects_kappa_conditioned_config(self):
         # used to return the unconditioned law for a config with kappa=3.0
         with pytest.raises(ValueError, match="kappa"):
-            estimate_negbin(split(0.3), 6, SimConfig(trials=100, seed=13, z=6, kappa=3.0))
+            estimate_negbin(split(0.3), SimConfig(trials=100, seed=13, z=6, kappa=3.0))
 
     def test_geometric_head(self):
         counts = estimate_negbin(
-            split(0.1), 1, SimConfig(trials=200_000, seed=21, z=1)
+            split(0.1), SimConfig(trials=200_000, seed=21, z=1)
         )
         assert counts[0] / counts.sum() == pytest.approx(0.9, abs=0.005)
 
     def test_mode_matches_analytic(self):
         q, z = 0.3, 6
         s = split(q)
-        counts = estimate_negbin(s, z, SimConfig(trials=400_000, seed=31, z=z))
+        counts = estimate_negbin(s, SimConfig(trials=400_000, seed=31, z=z))
         analytic_mode = max(range(z + 31), key=lambda k: race.negbin_pmf(s, z, k))
         assert int(np.argmax(counts)) == analytic_mode
 
     def test_empirical_mean(self):
         q, z, trials = 0.3, 6, 400_000
         s = split(q)
-        counts = estimate_negbin(s, z, SimConfig(trials=trials, seed=41, z=z))
+        counts = estimate_negbin(s, SimConfig(trials=trials, seed=41, z=z))
         ks = np.arange(counts.size)
         mean = float((ks * counts).sum()) / trials
         expect = z * s.lam
