@@ -216,10 +216,11 @@ def cmd_curve(args):
         )
     split = _split(args.q)
     kappas = _frange(args.kappa_min, args.kappa_max, args.kappa_step)
+    labels = [f"{kappa:.6g}" for kappa in kappas]
     rows = [
-        [z, f"{kappa:.6g}", f"{v:.7f}"]
+        [z, label, f"{v:.7f}"]
         for z in args.z
-        for kappa, v in zip(kappas, race._conditional_over_kappa(split, z, kappas))
+        for label, v in zip(labels, race._conditional_over_kappa(split, z, kappas).tolist())
     ]
     _write_rows(args.out, ["z", "kappa", "probability"], rows)
     return 0

@@ -17,7 +17,7 @@ Conventions used throughout:
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import cython_special
@@ -76,21 +76,26 @@ def _check_positive(name, x):
 class HashSplit:
     """Attacker/honest hash-power split with its derived quantities.
 
-    q: attacker fraction; p = 1 - q, lam = q/p and s = 4pq are derived
-    from it at construction.
+    q: attacker fraction, the only value stored; p = 1 - q, lam = q/p and
+    s = 4pq are computed from it on access.
     """
 
     q: float
-    p: float = field(init=False)
-    lam: float = field(init=False)
-    s: float = field(init=False)
 
     def __post_init__(self):
         _check_share(self.q)
-        p = 1.0 - self.q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "lam", self.q / p)
-        object.__setattr__(self, "s", 4.0 * p * self.q)
+
+    @property
+    def p(self) -> float:
+        return 1.0 - self.q
+
+    @property
+    def lam(self) -> float:
+        return self.q / (1.0 - self.q)
+
+    @property
+    def s(self) -> float:
+        return 4.0 * (1.0 - self.q) * self.q
 
     @classmethod
     def from_attacker_share(cls, q: float) -> "HashSplit":
@@ -103,22 +108,28 @@ class NetworkParams:
 
     alpha = p/tau0 and alpha_prime = q/tau0 are the honest and attacker
     block rates; t0 = tau0/p is the honest-only mean interval.  All three
-    are derived from tau0 and the attacker share q at construction.
+    are computed on access from the two stored values, tau0 and the
+    attacker share q.
     """
 
     tau0: float
     q: float
-    alpha: float = field(init=False)
-    alpha_prime: float = field(init=False)
-    t0: float = field(init=False)
 
     def __post_init__(self):
         _check_positive("tau0", self.tau0)
         _check_share(self.q)
-        p = 1.0 - self.q
-        object.__setattr__(self, "alpha", p / self.tau0)
-        object.__setattr__(self, "alpha_prime", self.q / self.tau0)
-        object.__setattr__(self, "t0", self.tau0 / p)
+
+    @property
+    def alpha(self) -> float:
+        return (1.0 - self.q) / self.tau0
+
+    @property
+    def alpha_prime(self) -> float:
+        return self.q / self.tau0
+
+    @property
+    def t0(self) -> float:
+        return self.tau0 / (1.0 - self.q)
 
     @classmethod
     def for_split(cls, split: HashSplit, tau0: float = 10.0) -> "NetworkParams":
@@ -280,11 +291,12 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
     and 0 beyond 1/lam.  h = U + ln f_z is concave, so each superlevel set
     of h is one interval, and h >= g.  g is evaluated once, at the peak of
     h on a grid of 1024 points; the window where h lies within 40 of that
-    value contains the window where g lies within 40 of its own peak.  Its
-    ends are taken one grid cell outside the outermost grid points in it,
-    and a 64-node Gauss-Legendre rule sums w exp(g - g_max) over it, in
-    the one other kernel call.  The result is exp(g_max) times that sum,
-    so it keeps its relative accuracy below 1e-300 until it underflows.
+    value contains the window where g lies within 40 of its own peak.  That
+    one value comes from the scalar kernels.  The window's ends are taken
+    one grid cell outside the outermost grid points in it, and a 64-node
+    Gauss-Legendre rule sums w exp(g - g_max) over it, in the one array
+    kernel call.  The result is exp(g_max) times that sum, so it keeps its
+    relative accuracy below 1e-300 until it underflows.
 
     Measured against 40-digit mpmath P(z) = I_{4pq}(z, 1/2) at ten values
     of q in [0.001, 0.499]: within 8.5e-13 relative up to z = 5000, the
@@ -308,8 +320,13 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
         kappa < 1.0, z * (log_lam + kappa * (1.0 - lam)), -z * (klam - 1.0 - np.log(klam))
     )
     h = np.minimum(math.log(2.0) + upper, 0.0) + _log_kappa_density(z, kappa)
-    # g <= h, so h is above this level wherever g is within the depth of its peak
-    level = _log_quadrature_integrand(split, z, kappa[[np.argmax(h)]])[0] - _QUAD_DEPTH
+    # g <= h, so h is above this level wherever g is within the depth of its
+    # peak; at one point the scalar kernels cost an order of magnitude less
+    # than an array call
+    peak_kappa = float(kappa[np.argmax(h)])
+    level = (
+        _log_conditional(split, z, peak_kappa) + _log_kappa_density(z, peak_kappa) - _QUAD_DEPTH
+    )
     # h is concave, so the window ends within one cell of its outer grid points
     inside = np.flatnonzero(h >= level)
     lo, hi = step * inside[0], step * (inside[-1] + 2)

@@ -18,8 +18,10 @@ microsecond of array dispatch a ufunc spends on each scalar.  Given a
 numpy array (s for the gamma functions, a for the beta) of any shape,
 0-d included, they check its least element, call the ufunc once over
 it, take the log of that value floored at 1e-300, and run the log-space
-fallback only on the elements below the floor; each element is
-bit-identical to the scalar call at its arguments.
+fallback only on the elements below the floor.  An element below the
+floor is bit-identical to the scalar call at its arguments; one above it
+is within one ulp, since numpy's vectorised log (SIMD on AVX-512 hosts)
+and ``math.log`` may round the same value apart.
 
 The linear ``reg_inc_beta`` is still hand-rolled (a continued fraction
 with its prefactor assembled in log space): the last bits of its values

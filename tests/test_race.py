@@ -374,8 +374,8 @@ class TestQuadratureRecovery:
         ) <= 1e-8
 
     @pytest.mark.parametrize("q, z", [(0.1, 1), (0.3, 500), (0.49, 10**5)])
-    def test_two_integrand_calls(self, monkeypatch, q, z):
-        # one at the peak of the bound, one at the Gauss-Legendre nodes
+    def test_one_array_integrand_call(self, monkeypatch, q, z):
+        # at the Gauss-Legendre nodes; the peak of the bound takes the scalar kernels
         integrand = race._log_quadrature_integrand
         sizes = []
 
@@ -385,7 +385,30 @@ class TestQuadratureRecovery:
 
         monkeypatch.setattr(race, "_log_quadrature_integrand", recorded)
         recover_p_by_quadrature(split(q), z)
-        assert sizes == [1, race._QUAD_NODES]
+        assert sizes == [race._QUAD_NODES]
+
+    @pytest.mark.parametrize("q", [0.001, 0.1, 0.45, 0.4999])
+    @pytest.mark.parametrize("z", [1, 24, 2000, 10**6])
+    def test_scalar_probe_matches_array_integrand(self, monkeypatch, q, z):
+        # the cut level's one point, the peak of the bound, is the only float
+        # kappa the density sees; ln P(z, kappa) there lies below ln 1e-300
+        # for q = 0.001 and 0.1 at z >= 2000, and for q = 0.45 at z = 10^6
+        density = race._log_kappa_density
+        peaks = []
+
+        def recorded(z, kappa):
+            if isinstance(kappa, float):
+                peaks.append(kappa)
+            return density(z, kappa)
+
+        s = split(q)
+        monkeypatch.setattr(race, "_log_kappa_density", recorded)
+        recover_p_by_quadrature(s, z)
+        monkeypatch.undo()
+        [kappa] = peaks
+        probe = race._log_conditional(s, z, kappa) + race._log_kappa_density(z, kappa)
+        array = race._log_quadrature_integrand(s, z, np.array([kappa]))[0]
+        assert abs(probe - array) <= 2 * math.ulp(array), (probe, array)
 
     def test_published_rows(self):
         assert recover_p_by_quadrature(split(0.1), 1) == pytest.approx(

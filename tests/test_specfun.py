@@ -215,8 +215,8 @@ class TestRegUpperGammaQ:
 
 class TestLogArrays:
     """A numpy array argument runs the ufunc once, with the log-space
-    fallback on the elements below 1e-300; each element matches the
-    scalar call."""
+    fallback on the elements below 1e-300; each element is within one ulp
+    of the scalar call, since np.log and math.log may round apart."""
 
     CASES = [
         # (function, arguments); the last elements sit below 1e-300
@@ -266,6 +266,26 @@ class TestLogArrays:
             assert got.shape == shape
             got = got.ravel()
         assert [float(g).hex() for g in got] == [v.hex() for v in scalars]
+
+    @staticmethod
+    def random_calls(fn):
+        """Seeded argument tuples for fn; some of its values fall below 1e-300."""
+        rng = np.random.default_rng(20261019)
+        s = np.exp(rng.uniform(0.0, math.log(5000.0), 2000))
+        if fn is log_reg_inc_beta:
+            return [(x, s[i::4], 0.5) for i, x in enumerate(rng.uniform(0.01, 0.99, 4))]
+        return [(s, s * np.exp(rng.normal(0.0, 0.8, s.size)))]
+
+    @pytest.mark.parametrize("fn", [log_reg_inc_beta, log_reg_upper_gamma_q, log_reg_lower_gamma_p])
+    def test_within_one_ulp_of_scalar(self, fn):
+        got, scalars = [], []
+        for args in self.random_calls(fn):
+            values = fn(*args).tolist()
+            columns = [a.tolist() if isinstance(a, np.ndarray) else [a] * len(values) for a in args]
+            got += values
+            scalars += [fn(*element) for element in zip(*columns)]
+        assert min(got) < math.log(1e-300) < max(got)
+        assert all(abs(g - v) <= math.ulp(v) for g, v in zip(got, scalars))
 
     @pytest.mark.parametrize(
         "fn, args",

@@ -139,6 +139,12 @@ def test_readme_stream_version_is_the_code_one():
     assert re.findall(r"stream version (\d+)", readme_text()) == [str(sim.STREAM_VERSION)]
 
 
+def test_readme_quadrature_sizes_are_the_code_ones():
+    text = readme_text()
+    assert re.findall(r"(\d+)-node", text) == [str(race._QUAD_NODES)]
+    assert re.findall(r"(\d+)-point grid", text) == [str(race._QUAD_GRID)]
+
+
 def test_readme_names_the_batch_bit_generator():
     _, rng = next(sim._batches(sim.SimConfig(trials=1, seed=0, z=1)))
     name = type(rng.bit_generator).__name__
