@@ -14,10 +14,11 @@ when it runs, so a wrapper set there later is still reached.
 """
 
 import argparse
-import csv
 import functools
 import math
 import sys
+
+import numpy as np
 
 from . import asymptotics, race, sim, specfun
 
@@ -82,11 +83,13 @@ def _pz_table(q, z_values):
 
 
 def _satoshi_table(z):
-    # one array call per q column over every kappa row
-    columns = [race._conditional_over_kappa(_split(q), z, SATOSHI_KAPPAS) for q in SATOSHI_QS]
+    # one array call over the kappa x q grid, which takes each Q(z, kappa z) once
+    percent = 100.0 * race._conditional_over_kappa(
+        SATOSHI_QS, z, np.array(SATOSHI_KAPPAS)[:, None]
+    )
     return [
-        [kappa, *(f"{100.0 * v:.2f}" for v in cells)]
-        for kappa, *cells in zip(SATOSHI_KAPPAS, *columns)
+        [kappa, *(f"{v:.2f}" for v in cells)]
+        for kappa, cells in zip(SATOSHI_KAPPAS, percent.tolist())
     ]
 
 
@@ -112,14 +115,25 @@ def _z0_boundary(k, z0_at):
     counts as checked, as in the plain bisection).  The leaf cells of the
     halving tree partition the q range, and for a non-decreasing z0 exactly
     one of them passes that check: the one the plain bisection on z0_at ends
-    in.  So the answer does not depend on the guide being right; where it is
-    wrong, the plain bisection runs.
+    in.  Where the guide is wrong, the plain bisection runs.
+
+    Of that check only z0_at(a) < k is evaluated: for z0_at = z0_sharp and
+    k <= 202 (the table's k is 2..11), k <= z0_at(b) follows from the guide.
+    The bisection moves hi only to a q where the guide held, so rank k - 1
+    is bad at b (b = hi is never evaluated).  A bad rank lies below
+    z0_sufficient, which proves every later rank good, so z0_sharp tests it;
+    and the window of 200 good ranks from any z in [2, k - 1] covers rank
+    k - 1, so z0_sharp(b) >= k.  The guide and z0_sharp both decide with
+    asymptotics._bad_rank, the guide on the scalar kernels and z0_sharp on
+    the array ones, which may round a log apart by an ulp; at every guide
+    probe for k = 2..30, ln P_SN and ln P at rank k - 1 differ by at least
+    4.8e-6.  So one sharp rank checks each boundary.
     """
     lo, hi = _Z0_Q_LO, _Z0_Q_HI
     if z0_at(lo) >= k:
         return 0.0
     a, b = _bisect(lambda q: asymptotics._bad_rank(_split(q), k - 1), lo, hi, _Z0_Q_TOL)
-    if (a == lo or z0_at(a) < k) and (b == hi or z0_at(b) >= k):
+    if a == lo or z0_at(a) < k:
         return b
     return _bisect(lambda q: z0_at(q) >= k, lo, hi, _Z0_Q_TOL)[1]
 
@@ -160,10 +174,15 @@ def cmd_table(args):
 
 
 def _write_rows(path, header, rows):
+    """Write header and rows as CSV; no cell holds a comma, a quote or a
+    newline, so none is quoted."""
+    _write_lines(path, [",".join(map(str, row)) for row in (header, *rows)])
+
+
+def _write_lines(path, lines):
+    """Write the lines to path in one write, each ended by a newline."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\n".join(lines) + "\n")
 
 
 def _frange(start, stop, step):
@@ -214,15 +233,16 @@ def cmd_curve(args):
         raise ValueError(
             f"kappa range must lie within (0, 20], got [{args.kappa_min}, {args.kappa_max}]"
         )
-    split = _split(args.q)
     kappas = _frange(args.kappa_min, args.kappa_max, args.kappa_step)
     labels = [f"{kappa:.6g}" for kappa in kappas]
-    rows = [
-        [z, label, f"{v:.7f}"]
-        for z in args.z
-        for label, v in zip(labels, race._conditional_over_kappa(split, z, kappas).tolist())
+    # one array call over the z x kappa grid
+    grid = race._conditional_over_kappa(args.q, np.array(args.z)[:, None], kappas)
+    lines = [
+        f"{z},{label},{v:.7f}"
+        for z, values in zip(args.z, grid.tolist())
+        for label, v in zip(labels, values)
     ]
-    _write_rows(args.out, ["z", "kappa", "probability"], rows)
+    _write_lines(args.out, ["z,kappa,probability", *lines])
     return 0
 
 

@@ -188,27 +188,35 @@ def nakamoto_probability(split: HashSplit, z: int) -> float:
     return conditional_probability(split, z, 1.0)
 
 
-def _log_conditional(split, z, kappa):
-    # ln[ P(z, kappa z lam) + lam^z e^{kappa z (1-lam)} Q(z, kappa z) ],
-    # elementwise if z is an integer numpy array;
-    # the tail is summed in log space because e^{kappa z (1-lam)} overflows
-    # where Q(z, kappa z) underflows
-    lam = split.lam
+def _log_conditional(lam, z, kappa):
+    """ln[P(z, kappa z lam) + lam^z e^{kappa z (1-lam)} Q(z, kappa z)] at
+    lam = q/p, the tail summed in log space because e^{kappa z (1-lam)}
+    overflows where Q(z, kappa z) underflows.
+
+    Elementwise over the broadcast of lam, z and kappa if any is a numpy
+    array (z then of integer dtype).  ln Q(z, kappa z) does not depend on
+    lam, so it is evaluated over the broadcast of z and kappa alone: a grid
+    of lam against kappa computes each Q once.
+    """
     x = kappa * z
-    head = specfun.log_reg_lower_gamma_p(z, x * lam)
+    growth = x * (1.0 - lam)
     # x (1 - lam) is inf only where kappa z overflows; Q(z, x) = 0 there, and
     # taking it as 0 makes the tail -inf rather than inf - inf
-    growth = x * (1.0 - lam)
     if isinstance(growth, np.ndarray):
+        z = np.broadcast_to(z, np.shape(x))  # the kernels take their array path on z
         growth[growth == math.inf] = 0.0
-    elif growth == math.inf:
-        growth = 0.0
-    tail = z * math.log(lam) + growth + specfun.log_reg_upper_gamma_q(z, x)
+        log_lam = np.log(lam) if isinstance(lam, np.ndarray) else math.log(lam)
+    else:
+        if growth == math.inf:
+            growth = 0.0
+        log_lam = math.log(lam)
+    head = specfun.log_reg_lower_gamma_p(z, x * lam)
+    tail = z * log_lam + growth + specfun.log_reg_upper_gamma_q(z, x)
     return _logaddexp(head, tail)
 
 
 def _log_nakamoto(split, z):
-    return _log_conditional(split, z, 1.0)
+    return _log_conditional(split.lam, z, 1.0)
 
 
 def conditional_probability(split: HashSplit, z: int, kappa: float) -> float:
@@ -222,18 +230,29 @@ def conditional_probability(split: HashSplit, z: int, kappa: float) -> float:
     _check_positive("kappa", kappa)
     if split.q == 0.5:
         return 1.0
-    return specfun._clamp01(math.exp(_log_conditional(split, z, kappa)))
+    return specfun._clamp01(math.exp(_log_conditional(split.lam, z, kappa)))
 
 
-def _conditional_over_kappa(split, z, kappa):
-    """conditional_probability over a sequence of kappa, in one kernel call."""
-    _check_count("z", z, 1)
+def _conditional_over_kappa(q, z, kappa):
+    """conditional_probability over the broadcast of q, z and kappa (numbers
+    or arrays), in one call of each kernel; a cell at q = 1/2 is exactly 1.
+
+    The satoshi tables pass a column of kappa against a row of q, so each
+    Q(z, kappa z) is computed once per kappa; curve passes a column of z
+    against a row of kappa.
+    """
+    q = np.asarray(q, dtype=float)
+    z = np.asarray(z)
     kappa = np.asarray(kappa, dtype=float)
-    if split.q == 0.5:
-        return np.ones(kappa.shape)
-    with np.errstate(over="ignore"):  # kappa z may overflow to inf, where Q(z, inf) = 0
-        log_p = _log_conditional(split, np.full(kappa.shape, z), kappa)
-    return np.clip(np.exp(log_p), 0.0, 1.0)
+    if not ((0.0 < q) & (q <= 0.5)).all():
+        raise ValueError(f"attacker share q must satisfy 0 < q <= 0.5, got q={q.tolist()}")
+    if z.dtype.kind not in "iu" or not (z >= 1).all():
+        raise ValueError(f"z must be integers >= 1, got {z.ravel().tolist()}")
+    # kappa z may overflow to inf, where Q(z, inf) = 0; at q = 1/2 that makes
+    # the growth inf * 0, in a cell that is set to 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_p = _log_conditional(q / (1.0 - q), z, kappa)
+    return np.where(q == 0.5, 1.0, np.clip(np.exp(log_p), 0.0, 1.0))
 
 
 def _log_kappa_density(z, kappa):
@@ -273,7 +292,7 @@ def _gauss_legendre():
 
 def _log_quadrature_integrand(split, z, kappa):
     """ln[P(z, kappa) f_z(kappa)] over an array of kappa, in one kernel call."""
-    return _log_conditional(split, np.full(kappa.shape, z), kappa) + _log_kappa_density(z, kappa)
+    return _log_conditional(split.lam, z, kappa) + _log_kappa_density(z, kappa)
 
 
 def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
@@ -325,7 +344,7 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
     # than an array call
     peak_kappa = float(kappa[np.argmax(h)])
     level = (
-        _log_conditional(split, z, peak_kappa) + _log_kappa_density(z, peak_kappa) - _QUAD_DEPTH
+        _log_conditional(lam, z, peak_kappa) + _log_kappa_density(z, peak_kappa) - _QUAD_DEPTH
     )
     # h is concave, so the window ends within one cell of its outer grid points
     inside = np.flatnonzero(h >= level)

@@ -16,12 +16,13 @@ tail at q = 0.49).  For numbers they call the scalar entry points in
 ``scipy.special.cython_special``: the same kernels without the
 microsecond of array dispatch a ufunc spends on each scalar.  Given a
 numpy array (s for the gamma functions, a for the beta) of any shape,
-0-d included, they check its least element, call the ufunc once over
-it, take the log of that value floored at 1e-300, and run the log-space
-fallback only on the elements below the floor.  An element below the
-floor is bit-identical to the scalar call at its arguments; one above it
-is within one ulp, since numpy's vectorised log (SIMD on AVX-512 hosts)
-and ``math.log`` may round the same value apart.
+0-d included, they check its least element and call the ufunc once over
+it.  Where no value is below 1e-300 they take its log in one pass;
+otherwise they take the log of the value floored at 1e-300 and run the
+log-space fallback only on the elements below the floor.  An element
+below the floor is bit-identical to the scalar call at its arguments;
+one above it is within one ulp, since numpy's vectorised log (SIMD on
+AVX-512 hosts) and ``math.log`` may round the same value apart.
 
 The linear ``reg_inc_beta`` is still hand-rolled (a continued fraction
 with its prefactor assembled in log space): the last bits of its values
@@ -69,15 +70,14 @@ def _log_or_fallback(v, fallback, *args):
     """ln v elementwise, where v is a ufunc's value at ``args`` (numbers or
     arrays); an element below _TINY is replaced by ``fallback`` evaluated
     at that element's arguments.  A 0-d input gives a numpy scalar."""
-    out = np.log(np.maximum(v, _TINY))
-    tiny = np.flatnonzero(v < _TINY)
-    if tiny.size:
-        out = np.asarray(out)  # a numpy scalar becomes a writable 0-d array
-        flat_args = [np.broadcast_to(arg, out.shape).ravel() for arg in args]
-        for i in tiny:
-            out.flat[i] = fallback(*(float(arg[i]) for arg in flat_args))
-        out = out[()]
-    return out
+    if v.min() >= _TINY:  # the common case: nothing underflows
+        return np.log(v)
+    # np.asarray makes a numpy scalar a writable 0-d array
+    out = np.asarray(np.log(np.maximum(v, _TINY)))
+    flat_args = [np.broadcast_to(arg, out.shape).ravel() for arg in args]
+    for i in np.flatnonzero(v < _TINY):
+        out.flat[i] = fallback(*(float(arg[i]) for arg in flat_args))
+    return out[()]
 
 
 def log_gamma(x: float) -> float:
@@ -288,7 +288,7 @@ def reg_upper_gamma_q(s: float, x: float) -> float:
 
 def log_reg_upper_gamma_q(s, x):
     """ln Q(s, x); finite for x far above s where Q underflows.  Elementwise
-    if s is a numpy array (x a number or an array of the same shape)."""
+    if s is a numpy array (x a number or an array that broadcasts with s)."""
     array = isinstance(s, _ARRAY)
     _check_gamma_args(
         "log_reg_upper_gamma_q", s.min() if array else s, np.asarray(x).min() if array else x)
@@ -302,7 +302,7 @@ def log_reg_upper_gamma_q(s, x):
 
 def log_reg_lower_gamma_p(s, x):
     """ln P(s, x) = ln(1 - Q(s, x)); finite for x far below s.  Elementwise
-    if s is a numpy array (x a number or an array of the same shape)."""
+    if s is a numpy array (x a number or an array that broadcasts with s)."""
     array = isinstance(s, _ARRAY)
     if not ((s.min() if array else s) > 0.0 and (np.asarray(x).min() if array else x) > 0.0):
         raise ValueError(f"log_reg_lower_gamma_p requires s > 0 and x > 0, got s={s}, x={x}")

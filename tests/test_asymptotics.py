@@ -75,7 +75,7 @@ def first_settled_rank(is_bad, window):
 def z0_sharp_scan(s):
     """The scalar z0_sharp: a scan over scalar P_SN and scalar log-beta probes."""
     return first_settled_rank(
-        lambda w: race._log_conditional(s, w, 1.0) >= log_inc_beta_cf(s.s, w, 0.5), 200
+        lambda w: race._log_conditional(s.lam, w, 1.0) >= log_inc_beta_cf(s.s, w, 0.5), 200
     )
 
 
@@ -422,6 +422,20 @@ class TestComparisonRank:
     def test_sharp_rank_near_half(self):
         assert z0_sharp(split(0.499)) == 43692
 
+    def test_block_cap_keeps_the_answers(self, monkeypatch):
+        expected = {0.45: z0_sharp(split(0.45)), 0.49: z0_sharp(split(0.49)), 0.499: 43692}
+        real = asymptotics._bad_rank
+        sizes = []
+        monkeypatch.setattr(asymptotics, "_Z0_BLOCK", 1024)
+        monkeypatch.setattr(
+            asymptotics, "_bad_rank", lambda s, w: sizes.append(w.size) or real(s, w)
+        )
+        for q, z0 in expected.items():
+            assert z0_sharp(split(q)) == z0, q
+        # the scan at 0.499 runs to rank 43892, past many full blocks
+        assert max(sizes) == 1024
+        assert sizes.count(1024) > 30
+
     @pytest.mark.parametrize(
         "bad, expected",
         [
@@ -460,11 +474,14 @@ class TestComparisonRank:
         st.integers(1, 8),
         st.sets(st.integers(2, 150), max_size=40),
         st.integers(1, 160),
+        st.integers(1, 200),
     )
-    def test_run_detection_matches_scan(self, window, bad, proven):
-        assert z0_with_bad_ranks(bad, window, proven) == first_settled_rank(
-            lambda w: w in bad and w < proven, window
-        )
+    def test_run_detection_matches_scan(self, window, bad, proven, block):
+        # blocks capped at ``block`` ranks; a cap near 200 is never reached
+        with mock.patch.object(asymptotics, "_Z0_BLOCK", block):
+            assert z0_with_bad_ranks(bad, window, proven) == first_settled_rank(
+                lambda w: w in bad and w < proven, window
+            )
 
 
 class TestKappaThreshold:

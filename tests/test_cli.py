@@ -211,8 +211,9 @@ class TestTable:
         )
         out = tmp_path / "z0.csv"
         assert main(["table", "--which", "z0", "--out", str(out)]) == 0
-        # one bisection per boundary on z0_sharp took 87
-        assert len(calls) <= 21
+        # one bisection per boundary on z0_sharp took 87; the guided one
+        # checks each boundary with one sharp rank, 10 in all
+        assert len(calls) <= 11
 
     def test_custom_table(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -369,7 +370,7 @@ class TestSimulate:
 
 
 class TestKappaGrids:
-    """curve and the satoshi tables take P(z, kappa) over each kappa grid in
+    """curve and the satoshi tables take P(z, kappa) over their whole grid in
     one array call; every cell equals the scalar conditional_probability.
 
     Both paths share the kernels, but the array one adds the two log terms
@@ -393,19 +394,43 @@ class TestKappaGrids:
         seen = []
         over_kappa = race._conditional_over_kappa
 
-        def recorded(split, z, kappa):
-            values = over_kappa(split, z, kappa)
-            seen.extend((split, z, float(k), v) for k, v in zip(kappa, values))
+        def recorded(q, z, kappa):
+            values = over_kappa(q, z, kappa)
+            cells = np.broadcast_arrays(q, z, kappa, values)
+            seen.extend(zip(*(cell.ravel().tolist() for cell in cells)))
             return values
 
         monkeypatch.setattr(race, "_conditional_over_kappa", recorded)
         assert main([*argv, "--out", str(tmp_path / "grid.csv")]) == 0
         assert len(seen) == cells
         eps = np.finfo(float).eps
-        for split, z, kappa, value in seen:
-            expected = race.conditional_probability(split, z, kappa)
+        for q, z, kappa, value in seen:
+            expected = race.conditional_probability(race.HashSplit(q), z, kappa)
             rel = 2.0 * eps * (1.0 - math.log(expected))
-            assert value == pytest.approx(expected, rel=rel, abs=0), (split.q, z, kappa)
+            assert value == pytest.approx(expected, rel=rel, abs=0), (q, z, kappa)
+
+    @pytest.mark.parametrize(
+        "argv, q_cells, p_cells",
+        [
+            # Q(z, kappa z) does not depend on q: once per kappa row
+            (["table", "--which", "satoshi3"], 35, 35 * 13),
+            (["table", "--which", "satoshi6"], 35, 35 * 13),
+            (["curve", "--q", "0.1", "--z", "6", "--z", "12", "--z", "24",
+              "--kappa-step", "0.01"], 3 * 391, 3 * 391),
+        ],
+    )
+    def test_one_call_of_each_kernel(self, tmp_path, monkeypatch, argv, q_cells, p_cells):
+        sizes = {"log_reg_upper_gamma_q": [], "log_reg_lower_gamma_p": []}
+        for name, seen in sizes.items():
+            kernel = getattr(specfun, name)
+
+            def recorded(s, x, kernel=kernel, seen=seen):
+                seen.append(np.broadcast(s, x).size)
+                return kernel(s, x)
+
+            monkeypatch.setattr(specfun, name, recorded)
+        assert main([*argv, "--out", str(tmp_path / "grid.csv")]) == 0
+        assert sizes == {"log_reg_upper_gamma_q": [q_cells], "log_reg_lower_gamma_p": [p_cells]}
 
 
 class TestCurve:

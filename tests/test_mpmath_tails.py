@@ -102,7 +102,7 @@ def test_million_confirmations_in_log_space(q, kappa):
     assert_close(race.conditional_probability(s, z, kappa), conditional_mp(q, z, kappa))
     with mp.workdps(DPS):
         ref = mp.log(conditional_mp(q, z, kappa))
-    assert abs(race._log_conditional(s, z, kappa) - ref) <= 1e-12 * abs(ref)
+    assert abs(race._log_conditional(s.lam, z, kappa) - ref) <= 1e-12 * abs(ref)
 
 
 # (s, x) pairs where the value sits near 1e-295 (scipy path) and near

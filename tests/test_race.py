@@ -268,7 +268,7 @@ class TestLogArrays:
         z = np.arange(2, 2001)
         nakamoto = race._log_nakamoto(s, z)
         np.testing.assert_allclose(
-            nakamoto, [race._log_conditional(s, int(k), 1.0) for k in z], rtol=1e-13, atol=0
+            nakamoto, [race._log_conditional(s.lam, int(k), 1.0) for k in z], rtol=1e-13, atol=0
         )
         if q == 0.001:
             # the per-element log fallback runs where the values underflow
@@ -327,7 +327,20 @@ class TestConditionalProbability:
         assert 0.0 <= value <= 1.0
         # kappa z overflows to inf, where Q(z, kappa z) = 0 and P(z, kappa) -> 1
         assert conditional_probability(split(0.3), 10, 1.7e308) == 1.0
-        assert race._conditional_over_kappa(split(0.3), 10, [1.0, 1.7e308])[1] == 1.0
+        assert race._conditional_over_kappa(0.3, 10, [1.0, 1.7e308])[1] == 1.0
+
+    def test_even_split_cells_of_a_grid(self):
+        # q = 1/2 inside a q x kappa grid: exactly 1, kappa z overflow included,
+        # and the other columns as computed alone
+        kappa = np.array([[0.3], [1.0], [4.0], [1.7e308]])
+        grid = race._conditional_over_kappa([0.1, 0.5, 0.3], 6, kappa)
+        assert grid.shape == (4, 3)
+        assert grid[:, 1].tolist() == [1.0] * 4
+        for column, q in ((0, 0.1), (2, 0.3)):
+            alone = race._conditional_over_kappa(q, 6, kappa[:, 0])
+            assert grid[:, column].tolist() == alone.tolist()
+        assert race._conditional_over_kappa(0.5, [[1], [6]], [0.5, 2.0]).tolist() == [
+            [1.0, 1.0], [1.0, 1.0]]
 
 
 class TestKappaDensity:
@@ -406,7 +419,7 @@ class TestQuadratureRecovery:
         recover_p_by_quadrature(s, z)
         monkeypatch.undo()
         [kappa] = peaks
-        probe = race._log_conditional(s, z, kappa) + race._log_kappa_density(z, kappa)
+        probe = race._log_conditional(s.lam, z, kappa) + race._log_kappa_density(z, kappa)
         array = race._log_quadrature_integrand(s, z, np.array([kappa]))[0]
         assert abs(probe - array) <= 2 * math.ulp(array), (probe, array)
 

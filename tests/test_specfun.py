@@ -287,6 +287,25 @@ class TestLogArrays:
         assert min(got) < math.log(1e-300) < max(got)
         assert all(abs(g - v) <= math.ulp(v) for g, v in zip(got, scalars))
 
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5), (64,), (1000,)])
+    def test_no_underflow_is_one_log_bit_identical_to_floored(self, shape):
+        # with no value below the floor the fallback never runs, and the one
+        # np.log pass gives the bits of the floored log it replaces
+        rng = np.random.default_rng(7)
+        v = np.exp(rng.uniform(math.log(1e-300), 0.0, shape))
+        v.flat[0] = 1e-300  # the floor itself is not below it
+        v = v[()]  # a 0-d value is a numpy scalar, as a ufunc returns it
+
+        def fallback(*args):
+            raise AssertionError(f"fallback ran at {args}")
+
+        got = specfun._log_or_fallback(v, fallback, v)
+        floored = np.log(np.maximum(v, 1e-300))
+        assert type(got) is type(floored)
+        assert np.shape(got) == shape
+        assert np.array_equal(got, floored)
+        assert np.asarray(got).tobytes() == np.asarray(floored).tobytes()
+
     @pytest.mark.parametrize(
         "fn, args",
         [

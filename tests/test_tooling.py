@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import doublespend
-from doublespend import cli, race, sim, specfun
+from doublespend import asymptotics, cli, race, sim, specfun
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -143,6 +143,14 @@ def test_readme_quadrature_sizes_are_the_code_ones():
     text = readme_text()
     assert re.findall(r"(\d+)-node", text) == [str(race._QUAD_NODES)]
     assert re.findall(r"(\d+)-point grid", text) == [str(race._QUAD_GRID)]
+
+
+def test_readme_z0_table_sharp_ranks_are_the_code_ones(monkeypatch, tmp_path):
+    real = asymptotics.z0_sharp
+    calls = []
+    monkeypatch.setattr(asymptotics, "z0_sharp", lambda split: calls.append(split.q) or real(split))
+    assert cli.main(["table", "--which", "z0", "--out", str(tmp_path / "z0.csv")]) == 0
+    assert re.findall(r"(\d+) sharp ranks instead of", readme_text()) == [str(len(calls))]
 
 
 def test_readme_names_the_batch_bit_generator():
