@@ -33,7 +33,7 @@ from .asymptotics import (
     z0_sharp,
     z0_sufficient,
 )
-from .sim import SimConfig, SimResult, estimate_negbin, estimate_success, sample_race
+from .sim import SimConfig, SimResult, estimate_success, sample_race
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "z0_sufficient",
     "SimConfig",
     "SimResult",
-    "estimate_negbin",
     "estimate_success",
     "sample_race",
 ]

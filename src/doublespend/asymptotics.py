@@ -58,8 +58,7 @@ def _check_args(split, z=None, least=1):
 
 def c_function(x: float) -> float:
     """Exponential decay rate c(x) = x - 1 - ln x; zero only at x = 1."""
-    if x <= 0.0:
-        raise ValueError(f"c_function requires x > 0, got x={x}")
+    race._check_positive("x", x)
     return x - 1.0 - math.log(x)
 
 

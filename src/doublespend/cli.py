@@ -31,12 +31,8 @@ CONFIRMATION_QS = [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
 _Z0_Q_LO, _Z0_Q_HI, _Z0_Q_TOL = 0.001, 0.4999, 1e-4
 
 
-def _split(q):
-    return race.HashSplit.from_attacker_share(q)
-
-
 def cmd_prob(args):
-    split = _split(args.q)
+    split = race.HashSplit(args.q)
     if args.method == "exact":
         value = race.attacker_success_closed(split, args.z)
         how = "closed form, regularized incomplete beta"
@@ -52,10 +48,10 @@ def cmd_prob(args):
 
 
 def cmd_conditional(args):
-    split = _split(args.q)
+    split = race.HashSplit(args.q)
     if (args.kappa is None) == (args.tau1_minutes is None):
         raise ValueError("give exactly one of --kappa or --tau1-minutes")
-    net = race.NetworkParams.for_split(split, tau0=args.tau0_minutes)
+    net = race.NetworkParams(args.tau0_minutes)
     kappa = args.kappa
     if args.tau1_minutes is not None:
         kappa = race.kappa_from_times(net, split, args.z, args.tau1_minutes)
@@ -66,7 +62,7 @@ def cmd_conditional(args):
 
 
 def cmd_confirmations(args):
-    split = _split(args.q)
+    split = race.HashSplit(args.q)
     z = race.confirmations_required(split, args.risk)
     z_sn = race.confirmations_required(split, args.risk, use_nakamoto=True)
     print(f"z={z} z_SN={z_sn}")
@@ -74,7 +70,7 @@ def cmd_confirmations(args):
 
 
 def _pz_table(q, z_values):
-    split = _split(q)
+    split = race.HashSplit(q)
     return [
         [z, f"{race.attacker_success_closed(split, z):.7f}",
          f"{race.nakamoto_probability(split, z):.7f}"]
@@ -132,7 +128,7 @@ def _z0_boundary(k, z0_at):
     lo, hi = _Z0_Q_LO, _Z0_Q_HI
     if z0_at(lo) >= k:
         return 0.0
-    a, b = _bisect(lambda q: asymptotics._bad_rank(_split(q), k - 1), lo, hi, _Z0_Q_TOL)
+    a, b = _bisect(lambda q: asymptotics._bad_rank(race.HashSplit(q), k - 1), lo, hi, _Z0_Q_TOL)
     if a == lo or z0_at(a) < k:
         return b
     return _bisect(lambda q: z0_at(q) >= k, lo, hi, _Z0_Q_TOL)[1]
@@ -149,7 +145,7 @@ def cmd_table(args):
     elif which == "confirmations":
         rows = []
         for q in CONFIRMATION_QS:
-            split = _split(q)
+            split = race.HashSplit(q)
             rows.append(
                 [
                     f"{q:.2f}",
@@ -160,13 +156,13 @@ def cmd_table(args):
         _write_rows(args.out, ["q", "z", "z_sn"], rows)
     elif which == "z0":
         # the bisections for neighbouring k probe many of the same q
-        z0_at = functools.cache(lambda q: asymptotics.z0_sharp(_split(q)))
+        z0_at = functools.cache(lambda q: asymptotics.z0_sharp(race.HashSplit(q)))
         rows = [[k, f"{_z0_boundary(k, z0_at):.3f}"] for k in range(2, 12)]
         _write_rows(args.out, ["z0", "q_min"], rows)
     else:  # custom
         qs = [round(q, 10) for q in _frange(args.q_min, args.q_max, args.q_step)]
         rows = [
-            [z, *(f"{race.attacker_success_closed(_split(q), z):.7f}" for q in qs)]
+            [z, *(f"{race.attacker_success_closed(race.HashSplit(q), z):.7f}" for q in qs)]
             for z in _frange(args.z_min, args.z_max, args.z_step)
         ]
         _write_rows(args.out, ["z", *qs], rows)
@@ -196,8 +192,8 @@ def _frange(start, stop, step):
 
 
 def cmd_simulate(args):
-    split = _split(args.q)
-    net = race.NetworkParams.for_split(split)
+    split = race.HashSplit(args.q)
+    net = race.NetworkParams(race._DEFAULT_TAU0)
     config = sim.SimConfig(
         trials=args.trials,
         seed=args.seed,
@@ -229,7 +225,7 @@ def cmd_simulate(args):
 
 
 def cmd_curve(args):
-    if args.kappa_min <= 0.0 or args.kappa_max > 20.0 or args.kappa_min > args.kappa_max:
+    if not 0.0 < args.kappa_min <= args.kappa_max <= 20.0:
         raise ValueError(
             f"kappa range must lie within (0, 20], got [{args.kappa_min}, {args.kappa_max}]"
         )
@@ -270,7 +266,7 @@ def build_parser():
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--kappa", type=float, help="deviation factor")
     p.add_argument("--tau1-minutes", type=float, help="observed time for z blocks")
-    p.add_argument("--tau0-minutes", type=float, default=10.0)
+    p.add_argument("--tau0-minutes", type=float, default=race._DEFAULT_TAU0)
 
     p = sub.add_parser(
         "confirmations", help="confirmations needed to push the risk below a bound"

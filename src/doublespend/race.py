@@ -43,6 +43,9 @@ __all__ = [
 # Guard for the confirmation solver; q too close to 0.5 for the risk asked.
 MAX_CONFIRMATIONS = 10_000_000
 
+# Bitcoin's mean block interval in minutes, the default tau0
+_DEFAULT_TAU0 = 10.0
+
 # recover_p_by_quadrature cuts the integrand where its log falls _QUAD_DEPTH
 # below the peak, locates the cut from an upper bound evaluated on a grid of
 # _QUAD_GRID points, and sums _QUAD_NODES Gauss-Legendre nodes over it.
@@ -99,41 +102,29 @@ class HashSplit:
 
     @classmethod
     def from_attacker_share(cls, q: float) -> "HashSplit":
+        """HashSplit(q).  Kept because perfbench/worker.py calls and wraps it."""
         return cls(q)
 
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Network timing: mean block interval tau0 and the per-group rates.
+    """Network timing: the mean block interval tau0, the only value stored.
 
-    alpha = p/tau0 and alpha_prime = q/tau0 are the honest and attacker
-    block rates; t0 = tau0/p is the honest-only mean interval.  All three
-    are computed on access from the two stored values, tau0 and the
-    attacker share q.
+    P(z) and P(z, kappa) depend on q alone; tau0 enters only through
+    kappa = p tau1 / (z tau0), so the block rates p/tau0 and q/tau0 are
+    formed where they are used, from tau0 and the HashSplit's q.
     """
 
     tau0: float
-    q: float
 
     def __post_init__(self):
         _check_positive("tau0", self.tau0)
-        _check_share(self.q)
-
-    @property
-    def alpha(self) -> float:
-        return (1.0 - self.q) / self.tau0
-
-    @property
-    def alpha_prime(self) -> float:
-        return self.q / self.tau0
-
-    @property
-    def t0(self) -> float:
-        return self.tau0 / (1.0 - self.q)
 
     @classmethod
-    def for_split(cls, split: HashSplit, tau0: float = 10.0) -> "NetworkParams":
-        return cls(tau0=tau0, q=split.q)
+    def for_split(cls, split: HashSplit, tau0: float = _DEFAULT_TAU0) -> "NetworkParams":
+        """NetworkParams(tau0); split is ignored.  Kept, with this signature,
+        because perfbench/worker.py calls it."""
+        return cls(tau0)
 
 
 def _logaddexp(a, b):

@@ -2,9 +2,11 @@
 
 Independent oracle for the analytic probabilities: the race up to the
 z-th honest block is sampled exactly (Gamma race time, Poisson attacker
-production), then the residual catch-up race is walked in runs until the
-attacker erases the deficit or falls far enough behind, where one Bernoulli
-draw of the exact chance from there, (q/p)^d, resolves it.  A "hybrid" walk
+production, at the block rates p/tau0 and q/tau0 formed from the
+HashSplit's q and the NetworkParams' tau0, the only value a net holds),
+then the residual catch-up race is walked in runs until the attacker
+erases the deficit or falls far enough behind, where one Bernoulli draw
+of the exact chance from there, (q/p)^d, resolves it.  A "hybrid" walk
 stops at once; a "full_walk" walk stops 100 blocks behind, or sooner, at the
 first deficit where (q/p)^d is at most 2^-53, the spacing of the uniforms
 that resolve it.  Conditioned on an observed kappa, the race time is fixed
@@ -45,7 +47,6 @@ __all__ = [
     "SimResult",
     "sample_race",
     "estimate_success",
-    "estimate_negbin",
     "BATCH",
     "STREAM_VERSION",
 ]
@@ -64,11 +65,6 @@ _STOPS = {"hybrid": 1, "full_walk": _DEFICIT_CAP}
 def _check_mode(mode):
     if mode not in _STOPS:
         raise ValueError(f"mode must be one of {tuple(_STOPS)}, got {mode!r}")
-
-
-def _check_net(split, net):
-    if net.q != split.q:
-        raise ValueError(f"net.q={net.q} does not match split.q={split.q}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +131,8 @@ def _race(split, net, z, rng, n, kappa=None):
     """
     if kappa is not None:
         return np.full(n, kappa), rng.poisson(kappa * z * split.lam, size=n)
-    s_z = rng.gamma(z, 1.0 / net.alpha, size=n)  # a sum of z Exp(alpha) times
-    return split.p * s_z / (z * net.tau0), rng.poisson(net.alpha_prime * s_z)
+    s_z = rng.gamma(z, 1.0 / (split.p / net.tau0), size=n)  # z honest Exp(p/tau0) intervals
+    return split.p * s_z / (z * net.tau0), rng.poisson(split.q / net.tau0 * s_z)
 
 
 def _walk(q, deficit, deficit_cap, rng):
@@ -190,7 +186,6 @@ def sample_race(
     """Draw one race; returns (kappa_observed, attacker_blocks, success)."""
     _check_count("z", z, 1)
     _check_mode(mode)
-    _check_net(split, net)
     kappa_obs, blocks, success = _run_batch(split, net, z, mode, rng, 1)
     return float(kappa_obs[0]), int(blocks[0]), bool(success[0])
 
@@ -203,7 +198,6 @@ def estimate_success(
     With config.kappa set, every race is conditioned on exactly that
     observed kappa and the conditional frequency is reported.
     """
-    _check_net(split, net)
 
     def tally(n, rng):
         kappa_obs, blocks, success = _run_batch(
@@ -229,23 +223,3 @@ def estimate_success(
         mean_kappa=sum_kappa / trials,
         mean_attacker_blocks=sum_blocks / trials,
     )
-
-
-def estimate_negbin(split: HashSplit, config: SimConfig) -> np.ndarray:
-    """Histogram of the attacker block count at the config.z-th honest block.
-
-    Returns counts indexed by k, length at least config.z + 31; the law is
-    independent of the network time scale so tau0 = 1 is used.  A
-    kappa-conditioned config is rejected, since the histogram is of the
-    unconditioned race.
-    """
-    if config.kappa is not None:
-        raise ValueError("estimate_negbin draws unconditioned races; config.kappa must be None")
-    net = NetworkParams.for_split(split, tau0=1.0)
-    z = config.z
-    counts = np.zeros(z + 31, dtype=np.int64)
-    for part in _map_batches(config, lambda n, rng: np.bincount(_race(split, net, z, rng, n)[1])):
-        if part.size > counts.size:
-            counts = np.pad(counts, (0, part.size - counts.size))
-        counts[: part.size] += part
-    return counts

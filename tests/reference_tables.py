@@ -1,13 +1,19 @@
 """Frozen expected values for the published reference tables, the two
 finite-sum P(z) oracles that the tests check the closed form and the
 tables against (one in exact rationals, one in floating point), the
-doubling search that the confirmation solver is checked against, and the
-plain bisection that the z0 table's boundaries are checked against."""
+doubling search that the confirmation solver is checked against, the
+plain bisection that the z0 table's boundaries are checked against, and
+the simulated histogram of the attacker's block count that negbin_pmf is
+checked against."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from doublespend import race, specfun
+from doublespend.race import HashSplit, NetworkParams
+from doublespend.sim import SimConfig, _map_batches, _race
 
 # The floating-point finite sum is trusted only up to this z; beyond it the
 # signed log-space differences lose precision.
@@ -174,3 +180,23 @@ def z0_boundary_bisect(k, z0_at, lo=0.001, hi=0.4999, tol=1e-4):
         else:
             lo = mid
     return hi
+
+
+def estimate_negbin(split: HashSplit, config: SimConfig) -> np.ndarray:
+    """Histogram of the attacker block count at the config.z-th honest block.
+
+    Returns counts indexed by k, length at least config.z + 31; the law is
+    independent of the network time scale so tau0 = 1 is used.  A
+    kappa-conditioned config is rejected, since the histogram is of the
+    unconditioned race.
+    """
+    if config.kappa is not None:
+        raise ValueError("estimate_negbin draws unconditioned races; config.kappa must be None")
+    net = NetworkParams(1.0)
+    z = config.z
+    counts = np.zeros(z + 31, dtype=np.int64)
+    for part in _map_batches(config, lambda n, rng: np.bincount(_race(split, net, z, rng, n)[1])):
+        if part.size > counts.size:
+            counts = np.pad(counts, (0, part.size - counts.size))
+        counts[: part.size] += part
+    return counts

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import erfc
 
 from doublespend import asymptotics, race, specfun
 from doublespend.asymptotics import (
@@ -109,8 +111,9 @@ class TestCFunction:
             assert c_function(x) > 0.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            c_function(0.0)
+        for x in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                c_function(x)
 
 
 class TestLeadingOrder:
@@ -421,6 +424,19 @@ class TestComparisonRank:
 
     def test_sharp_rank_near_half(self):
         assert z0_sharp(split(0.499)) == 43692
+
+    def test_sharp_rank_scaling_limit_near_half(self):
+        # with d = 1 - 2q and z = t/d^2, P(z) tends to erfc(sqrt t) and
+        # P_SN(z) to erfc(sqrt 2t)/2 + e^{-2t}/2; the two limits cross at t*,
+        # so z0 d^2 = t* + O(d).  q = 0.4999 (2 s) is left out.
+        def gap(t):
+            return erfc(math.sqrt(t)) - 0.5 * erfc(math.sqrt(2.0 * t)) - 0.5 * math.exp(-2.0 * t)
+
+        t_star = brentq(gap, 0.01, 1.0, xtol=1e-14)
+        assert t_star == pytest.approx(0.1734589925, abs=1e-10)
+        for q in (0.499, 0.4995, 0.4998):
+            d = 1.0 - 2.0 * q
+            assert abs(z0_sharp(split(q)) * d * d - t_star) <= d, q
 
     def test_block_cap_keeps_the_answers(self, monkeypatch):
         expected = {0.45: z0_sharp(split(0.45)), 0.49: z0_sharp(split(0.49)), 0.499: 43692}

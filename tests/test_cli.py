@@ -184,7 +184,7 @@ class TestTable:
             assert abs(float(row[1]) - expected) <= 0.001 + 1e-9
 
     def test_z0_boundary_matches_plain_bisection(self):
-        z0_at = functools.cache(lambda q: asymptotics.z0_sharp(cli._split(q)))
+        z0_at = functools.cache(lambda q: asymptotics.z0_sharp(race.HashSplit(q)))
         for k in range(2, 31):
             assert cli._z0_boundary(k, z0_at) == z0_boundary_bisect(k, z0_at), k
 
@@ -499,4 +499,19 @@ class TestCurve:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: kappa range must lie within (0, 20], got [1.0, 25.0]\n"
+        )
+        # a nan bound is out of range, not an empty grid
+        code = main(
+            ["curve", "--q", "0.1", "--z", "6", "--kappa-min", "nan", "--out", "x.csv"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: kappa range must lie within (0, 20], got [nan, 4.0]\n"
+        )
+        code = main(
+            ["curve", "--q", "0.1", "--z", "6", "--kappa-max", "nan", "--out", "x.csv"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: kappa range must lie within (0, 20], got [0.1, nan]\n"
         )

@@ -1,5 +1,6 @@
 """Race-probability tests: published values, identities, and domain checks."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -59,24 +60,20 @@ class TestHashSplit:
 
 
 class TestNetworkParams:
-    def test_rates(self):
-        net = NetworkParams.for_split(split(0.1), tau0=10.0)
-        assert net.alpha == pytest.approx(0.09, rel=1e-15)
-        assert net.alpha_prime == pytest.approx(0.01, rel=1e-15)
-        assert net.t0 == pytest.approx(100.0 / 9.0, rel=1e-15)
-
     def test_rejects_nonpositive_interval(self):
         for tau0 in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 NetworkParams.for_split(split(0.1), tau0=tau0)
 
     def test_rejects_inconsistent_rates(self):
-        # the rates and t0 are derived from tau0 and q, never passed in
-        with pytest.raises(TypeError):
-            NetworkParams(tau0=10.0, alpha=0.05, alpha_prime=0.01, t0=20.0)
-        assert NetworkParams(tau0=10.0, q=0.1) == NetworkParams.for_split(split(0.1))
-        with pytest.raises(ValueError):
-            NetworkParams(tau0=10.0, q=0.6)
+        # tau0 is the only value stored: q lives in the HashSplit alone, and
+        # the block rates are formed where they are used, never passed in
+        assert [f.name for f in dataclasses.fields(NetworkParams)] == ["tau0"]
+        for fields in ({"alpha": 0.05, "alpha_prime": 0.01, "t0": 20.0}, {"q": 0.1}):
+            with pytest.raises(TypeError):
+                NetworkParams(tau0=10.0, **fields)
+        assert NetworkParams.for_split(split(0.1)) == NetworkParams(10.0)
+        assert NetworkParams.for_split(split(0.3), tau0=2.5) == NetworkParams(2.5)
 
 
 class TestArgumentValidation:

@@ -135,6 +135,30 @@ def readme_text():
     return " ".join(README.read_text().split())  # a phrase may wrap across lines
 
 
+def test_readme_quick_start_runs():
+    # the quick start runs as written, and each value a comment gives is
+    # the one its line returns ("..." ends a prefix)
+    if not README.exists():
+        pytest.skip("README.md is not next to the tests")
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    lines = block.splitlines()
+    namespace = {}
+    checked = []
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if not isinstance(node, ast.Expr):
+            exec(source, namespace)
+            continue
+        shown = repr(eval(source, namespace))
+        comment = lines[node.end_lineno - 1][node.end_col_offset:]
+        match = re.match(r"\s*#\s*(\d(?:[\d.]*\d)?)(\.\.\.)?", comment)
+        if match:
+            digits, elided = match.groups()
+            assert shown.startswith(digits) if elided else shown == digits, (source, shown)
+            checked.append(digits)
+    assert checked == ["0.000591", "0.000242", "6"]
+
+
 def test_readme_stream_version_is_the_code_one():
     assert re.findall(r"stream version (\d+)", readme_text()) == [str(sim.STREAM_VERSION)]
 
