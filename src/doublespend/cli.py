@@ -3,10 +3,11 @@
 Subcommands: prob, conditional, confirmations, table, simulate, curve.
 ``simulate --kappa`` conditions every trial on that observed kappa exactly.
 Exit codes: 0 success, 1 statistical-check failure, 2 domain error
-(bad input such as a non-positive grid step, an empty grid or a kappa
-that is not positive and finite, or a value the library cannot converge
-on), 3 I/O error.  ``curve`` and every ``table`` compute all their rows
-before they open --out, so an error leaves an existing file untouched.
+(bad input such as a non-positive grid step, an empty grid, a grid of
+more than MAX_GRID_POINTS points or a kappa that is not positive and
+finite, or a value the library cannot converge on), 3 I/O error.
+``curve`` and every ``table`` compute all their rows before they open
+--out, so an error leaves an existing file untouched.
 
 The parser is built once per process, on the first call of ``main``,
 which looks the ``cmd_*`` function of each command up in this module
@@ -27,6 +28,9 @@ __all__ = ["main", "build_parser"]
 SATOSHI_KAPPAS = [round(0.1 * i, 1) for i in range(1, 36)]
 SATOSHI_QS = [round(0.02 * i, 2) for i in range(1, 14)]
 CONFIRMATION_QS = [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
+# Guard for the grids of curve and table --which custom: the most points
+# one axis may have, checked before any point is built
+MAX_GRID_POINTS = 1_000_000
 # the q range of the z0 table's bisections, and the width they stop at
 _Z0_Q_LO, _Z0_Q_HI, _Z0_Q_TOL = 0.001, 0.4999, 1e-4
 
@@ -187,7 +191,13 @@ def _frange(start, stop, step):
         raise ValueError(f"grid step must be positive, got {step}")
     if not start <= stop:
         raise ValueError(f"grid is empty: start {start} is above stop {stop}")
-    n = int(round((stop - start) / step))
+    span = (stop - start) / step
+    # as a float, so an infinite span fails too; round(span) + 1 points follow
+    if not span < MAX_GRID_POINTS - 0.5:
+        raise ValueError(
+            f"grid would have {span + 1:.0f} points, more than the {MAX_GRID_POINTS} allowed"
+        )
+    n = int(round(span))
     return [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-12]
 
 

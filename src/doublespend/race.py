@@ -47,13 +47,13 @@ MAX_CONFIRMATIONS = 10_000_000
 _DEFAULT_TAU0 = 10.0
 
 # recover_p_by_quadrature cuts the integrand where its log falls _QUAD_DEPTH
-# below the peak, locates the cut from an upper bound evaluated on a grid of
-# _QUAD_GRID points, and sums _QUAD_NODES Gauss-Legendre nodes over it.
-# 48 nodes already hold 1e-12; 32 do not.  A grid of 256 points lost four
-# digits at q >= 0.4999, z = 10^6, where the cut spans two of its cells.
+# below the peak, and sums _QUAD_NODES Gauss-Legendre nodes over the cut.
+# 48 nodes already hold 1e-12; 32 do not.  The cut's ends stop their Newton
+# iterations once the bound is within _QUAD_EDGE_TOL below the cut level.
 _QUAD_DEPTH = 40.0
-_QUAD_GRID = 1024
 _QUAD_NODES = 64
+_QUAD_EDGE_TOL = 0.01
+_LN2 = math.log(2.0)
 
 
 def _check_share(q):
@@ -286,6 +286,87 @@ def _log_quadrature_integrand(split, z, kappa):
     return _log_conditional(split.lam, z, kappa) + _log_kappa_density(z, kappa)
 
 
+def _log_bound(z, lam, log_lam, kappa):
+    """(h, dh/dkappa) for the bound h = min(U, 0) + ln f_z of the
+    quadrature's integrand (see recover_p_by_quadrature), less the constant
+    ln(z^z e^{-z} / Gamma(z)) of ln f_z."""
+    log_kappa = math.log(kappa)
+    h = -z * (kappa - 1.0 - log_kappa) - log_kappa
+    slope = (z - 1.0) / kappa - z
+    if kappa < 1.0:
+        upper = _LN2 + z * (log_lam + kappa * (1.0 - lam))
+        rise = z * (1.0 - lam)
+    elif kappa * lam < 1.0:
+        upper = _LN2 - z * (kappa * lam - 1.0 - log_kappa - log_lam)
+        rise = z * (1.0 / kappa - lam)
+    else:  # c(kappa lam) = 0 from kappa lam = 1 on
+        return h, slope
+    if upper >= 0.0:  # capped
+        return h, slope
+    return h + upper, slope + rise
+
+
+def _bound_peak(z, lam, log_lam):
+    """The kappa > 0 where the bound h of _log_bound peaks, or a point just
+    above kappa = 0 at z = 1, where h falls from kappa = 0 on.
+
+    U rises in kappa up to 1/lam, where it is ln 2, so the cap holds from
+    one kappa_c on: explicitly U = 0 there if kappa_c <= 1, and otherwise
+    c(kappa_c lam) = ln 2 / z.  On each piece h = A + B kappa + C ln kappa
+    with B < 0: below min(1, kappa_c), B = -z lam and C = z - 1; from 1 to
+    kappa_c, B = -z (1 + lam) and C = 2z - 1; from kappa_c on, B = -z and
+    C = z - 1.  h is concave, so it peaks in the first piece whose
+    C / (-B) lies below the piece's right end, at C / (-B) or at the
+    piece's left end, whichever is larger.
+    """
+    if z == 1:
+        return 1e-9  # g is within 1e-9 of its supremum, ln lam, there
+    at_zero = _LN2 + z * log_lam  # U at kappa = 0
+    cap = 0.0 if at_zero >= 0.0 else -at_zero / (z * (1.0 - lam))
+    if cap > 1.0:
+        # c(x) - ln 2 / z is convex and decreasing on (0, 1), so Newton from
+        # the left of its root rises to it; c(1 - e) >= e^2 / 2 puts
+        # 1 - sqrt(2 ln 2 / z) at or left of the root, as is lam
+        target = _LN2 / z
+        x = max(lam, 1.0 - math.sqrt(2.0 * target))
+        while True:
+            step = (x - 1.0 - math.log(x) - target) * x / (1.0 - x)
+            x += step
+            if step <= 1e-12:
+                break
+        cap = x / lam
+    below_one = (z - 1.0) / (z * lam)
+    above_one = (2.0 * z - 1.0) / (z * (1.0 + lam))
+    capped = (z - 1.0) / z
+    if below_one < min(1.0, cap):
+        return below_one
+    if 1.0 < cap and above_one < cap:
+        return max(above_one, 1.0)
+    return max(capped, cap)
+
+
+def _bound_edge(z, lam, log_lam, level, kappa, right):
+    """A kappa where the bound h of _log_bound lies between level - _QUAD_EDGE_TOL
+    and level, outside the window where h >= level: on its right if
+    ``right``, else on its left.  Newton's method, in kappa on the right and
+    in ln kappa on the left, where h is linear in them far out.
+
+    h is concave in both, so each tangent lies above h and crosses the level
+    outside the window: from any start on the window's side of the peak,
+    the iterates after the first move monotonically inward, and each is a
+    safe end for the window.
+    """
+    while True:
+        h, slope = _log_bound(z, lam, log_lam, kappa)
+        gap = h - level
+        if -_QUAD_EDGE_TOL < gap <= 0.0:
+            return kappa
+        if right:
+            kappa -= gap / slope
+        else:
+            kappa *= math.exp(-gap / (kappa * slope))
+
+
 def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
     """Rebuild the unconditional probability by integrating the
     conditional one against the kappa density.  Independent cross-check
@@ -298,48 +379,46 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
         U = ln 2 + z ln lam + kappa z (1 - lam)      for kappa <= 1,
         U = ln 2 - z c(kappa lam)                    for 1 <= kappa < 1/lam,
 
-    and 0 beyond 1/lam.  h = U + ln f_z is concave, so each superlevel set
-    of h is one interval, and h >= g.  g is evaluated once, at the peak of
-    h on a grid of 1024 points; the window where h lies within 40 of that
-    value contains the window where g lies within 40 of its own peak.  That
-    one value comes from the scalar kernels.  The window's ends are taken
-    one grid cell outside the outermost grid points in it, and a 64-node
-    Gauss-Legendre rule sums w exp(g - g_max) over it, in the one array
-    kernel call.  The result is exp(g_max) times that sum, so it keeps its
-    relative accuracy below 1e-300 until it underflows.
+    and 0 beyond 1/lam.  h = min(U, 0) + ln f_z is concave, so each
+    superlevel set of h is one interval, and h >= g.  g is evaluated once,
+    at the peak of h, found in closed form (_bound_peak); the window where
+    h lies within 40 of that value contains the window where g lies within
+    40 of its own peak.  That one value comes from the scalar kernels.  The
+    window's ends are the crossings of that level by h, found by Newton's
+    method from outside (_bound_edge); at z = 1, h falls from kappa = 0 on
+    and the window starts at 0.  A 64-node Gauss-Legendre rule sums
+    w exp(g - g_max) over the window, in the one array kernel call.  The
+    result is exp(g_max) times that sum, so it keeps its relative accuracy
+    below 1e-300 until it underflows.
 
-    Measured against 40-digit mpmath P(z) = I_{4pq}(z, 1/2) at ten values
-    of q in [0.001, 0.499]: within 8.5e-13 relative up to z = 5000, the
-    worst at z = 2000; at z = 10^5 within 2.2e-13 for q >= 0.47, and at
-    z = 10^6 within 8e-14 for q >= 0.4995.  What error there is comes from
-    ln P(z, kappa).  At z = 10^6 that is off by up to 1.7e-7 (q = 0.498,
-    kappa = 1.002), and the result for q in [0.495, 0.499] by 2e-10 to 3e-7.
+    Measured against 40-digit mpmath P(z) = I_{4pq}(z, 1/2) at nine values
+    of q in [0.001, 0.499] and nine z from 1 to 2 10^4, wherever P(z) is
+    above 1e-300: within 5.2e-13 relative, the worst at q = 0.3, z = 2000,
+    where ln P(z) is about -352 and one ulp of it is 5.7e-14 of P(z); at
+    z = 10^5 within 3.6e-13 for q >= 0.47, and at z = 10^6 within 3.2e-13
+    for q >= 0.4995.  Beyond that the error comes from ln P(z, kappa).  At
+    z = 10^6 that is off by up to 1.7e-7 (q = 0.498, kappa = 1.002), and
+    the result for q in [0.495, 0.499] by 2e-10 to 1e-6.
     """
     _check_count("z", z, 1)
     if split.q == 0.5:
         return 1.0
-    # P(z, kappa) >= lam^z puts the peak of g at most -z ln lam below that of
-    # ln f_z, and for kappa >= 1, ln f_z(kappa) - ln f_z(1) <= z(1 - kappa/2),
-    # so past 2(1 + depth/z - ln lam) g is more than the depth below its peak
     lam, log_lam = split.lam, math.log(split.lam)
-    step = 2.0 * (1.0 + _QUAD_DEPTH / z - log_lam) / _QUAD_GRID
-    kappa = step * np.arange(1, _QUAD_GRID + 1)
-    # c(kappa lam) at kappa lam >= 1 is taken at 1, where c is 0
-    klam = np.minimum(kappa * lam, 1.0)
-    upper = np.where(
-        kappa < 1.0, z * (log_lam + kappa * (1.0 - lam)), -z * (klam - 1.0 - np.log(klam))
-    )
-    h = np.minimum(math.log(2.0) + upper, 0.0) + _log_kappa_density(z, kappa)
+    peak = _bound_peak(z, lam, log_lam)
     # g <= h, so h is above this level wherever g is within the depth of its
     # peak; at one point the scalar kernels cost an order of magnitude less
-    # than an array call
-    peak_kappa = float(kappa[np.argmax(h)])
+    # than an array call.  Like h, the level leaves out ln f_z's constant
     level = (
-        _log_conditional(lam, z, peak_kappa) + _log_kappa_density(z, peak_kappa) - _QUAD_DEPTH
+        _log_conditional(lam, z, peak)
+        + _log_kappa_density(z, peak)
+        - specfun._log_gamma_norm(z)
+        - _QUAD_DEPTH
     )
-    # h is concave, so the window ends within one cell of its outer grid points
-    inside = np.flatnonzero(h >= level)
-    lo, hi = step * inside[0], step * (inside[-1] + 2)
+    # start each Newton iteration where a parabola of curvature z in ln kappa
+    # through the peak reaches the level
+    width = math.sqrt(2.0 * (_log_bound(z, lam, log_lam, peak)[0] - level) / z)
+    lo = 0.0 if z == 1 else _bound_edge(z, lam, log_lam, level, peak * math.exp(-width), False)
+    hi = _bound_edge(z, lam, log_lam, level, peak * (1.0 + width), True)
     nodes, weights = _gauss_legendre()
     half = 0.5 * (hi - lo)
     g = _log_quadrature_integrand(split, z, lo + half * (nodes + 1.0))

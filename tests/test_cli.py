@@ -253,6 +253,30 @@ class TestTable:
             assert "grid step must be positive" in err
 
     @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["curve", "--q", "0.1", "--z", "5", "--kappa-step", "1e-9"],
+             "error: grid would have 3900000001 points, more than the 1000000 allowed\n"),
+            (["table", "--which", "custom", "--z-max", "10000000000"],
+             "error: grid would have 10000000000 points, more than the 1000000 allowed\n"),
+        ],
+        ids=["curve_kappa_step", "custom_z_max"],
+    )
+    def test_rejects_grid_past_the_cap(self, tmp_path, capsys, argv, err):
+        # rejected before a point is built; uncapped, these grids exhaust memory
+        out = tmp_path / "g.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    def test_grid_cap_is_inclusive(self):
+        assert len(cli._frange(1, cli.MAX_GRID_POINTS, 1)) == cli.MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="grid would have 1000001 points"):
+            cli._frange(0, cli.MAX_GRID_POINTS, 1)
+        with pytest.raises(ValueError, match="grid would have inf points"):
+            cli._frange(0.05, math.inf, 0.05)
+
+    @pytest.mark.parametrize(
         "which, module, solver",
         [("z0", asymptotics, "z0_sharp"), ("confirmations", race, "confirmations_required")],
     )

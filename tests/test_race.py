@@ -420,6 +420,33 @@ class TestQuadratureRecovery:
         array = race._log_quadrature_integrand(s, z, np.array([kappa]))[0]
         assert abs(probe - array) <= 2 * math.ulp(array), (probe, array)
 
+    @pytest.mark.parametrize("q", [0.001, 0.05, 0.3, 0.45, 0.4999])
+    @pytest.mark.parametrize("z", [1, 2, 24, 2000, 10**6])
+    def test_window_holds_the_integrand_within_the_depth(self, monkeypatch, q, z):
+        # the window [lo, hi] follows from the Gauss-Legendre nodes the
+        # integrand is called at; on a dense grid reaching past it on both
+        # sides, every kappa with g >= g_max - depth must lie inside it.  At
+        # z = 1, C = 0 on the first piece of the bound and g peaks at kappa -> 0
+        s = split(q)
+        integrand = race._log_quadrature_integrand
+        calls = []
+
+        def recorded(split, z, kappa):
+            calls.append(kappa)
+            return integrand(split, z, kappa)
+
+        monkeypatch.setattr(race, "_log_quadrature_integrand", recorded)
+        recover_p_by_quadrature(s, z)
+        [kappa] = calls
+        nodes, _ = race._gauss_legendre()
+        half = (kappa[-1] - kappa[0]) / (nodes[-1] - nodes[0])
+        lo = kappa[0] - half * (nodes[0] + 1.0)
+        hi = lo + 2.0 * half
+        grid = np.linspace(max(lo - 2.0 * half, 0.0), hi + 2.0 * half, 4097)[1:]
+        g = integrand(s, z, grid)
+        within = grid[g >= g.max() - race._QUAD_DEPTH]
+        assert lo <= within[0] and within[-1] <= hi, (lo, hi, within[0], within[-1])
+
     def test_published_rows(self):
         assert recover_p_by_quadrature(split(0.1), 1) == pytest.approx(
             0.2, abs=1e-8

@@ -166,7 +166,7 @@ def test_readme_stream_version_is_the_code_one():
 def test_readme_quadrature_sizes_are_the_code_ones():
     text = readme_text()
     assert re.findall(r"(\d+)-node", text) == [str(race._QUAD_NODES)]
-    assert re.findall(r"(\d+)-point grid", text) == [str(race._QUAD_GRID)]
+    assert re.findall(r"within e\^-(\d+) of its peak", text) == [f"{race._QUAD_DEPTH:.0f}"]
 
 
 def test_readme_z0_table_sharp_ranks_are_the_code_ones(monkeypatch, tmp_path):
