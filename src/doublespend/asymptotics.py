@@ -57,22 +57,24 @@ def _check_args(split, z=None, least=1):
 
 
 def c_function(x: float) -> float:
-    """Exponential decay rate c(x) = x - 1 - ln x; zero only at x = 1."""
+    """Exponential decay rate c(x) = x - 1 - ln x, zero only at x = 1; no cancellation near it."""
     race._check_positive("x", x)
-    return x - 1.0 - math.log(x)
+    return specfun._c(x - 1.0, math.log(x))
 
 
 def p_asymptotic(split: race.HashSplit, z: int) -> float:
-    """Leading-order exact probability, s^z / sqrt(pi (1-s) z)."""
+    """Leading-order exact probability, s^z / sqrt(pi (1-s) z); 1 - s = d^2, and
+    ln s = log1p(-d^2) where s >= 1/2, so neither cancels near q = 1/2."""
     _check_args(split, z)
-    s = split.s
-    return math.exp(z * math.log(s) - 0.5 * math.log(math.pi * (1.0 - s) * z))
+    d2 = split.d**2
+    log_s = math.log1p(-d2) if d2 <= 0.5 else math.log(split.s)
+    return math.exp(z * log_s - 0.5 * math.log(math.pi * d2 * z))
 
 
 def psn_asymptotic(split: race.HashSplit, z: int) -> float:
     """Leading-order Nakamoto probability, e^{-z c(q/p)} / 2."""
     _check_args(split, z)
-    return 0.5 * math.exp(-z * c_function(split.lam))
+    return 0.5 * math.exp(-z * race._c_lam(split))
 
 
 def conditional_asymptotic(split: race.HashSplit, z: int, kappa: float):
@@ -84,22 +86,22 @@ def conditional_asymptotic(split: race.HashSplit, z: int, kappa: float):
     """
     _check_args(split, z)
     race._check_positive("kappa", kappa)
-    lam = split.lam
+    lam, gap = split.lam, race._one_minus_lam(split)
     ratio = 1.0 / lam  # p/q
     root = math.sqrt(2.0 * math.pi * z)
 
     if abs(kappa - 1.0) < _REGIME_TOL:
         return RegimeLabel.at_one, psn_asymptotic(split, z)
     if abs(kappa - ratio) < _REGIME_TOL:
-        corr = (1.0 / 3.0 + split.q / (split.p - split.q)) / root
+        corr = (1.0 / 3.0 + split.q / split.d) / root  # q/d = lam/(1-lam)
         return RegimeLabel.at_p_over_q, 0.5 + corr
     decay = math.exp(-z * c_function(kappa * lam))
     if kappa < 1.0:
         return RegimeLabel.below_one, decay / ((1.0 - kappa * lam) * root)
     if kappa < ratio:
-        coef = kappa * (1.0 - lam) / ((kappa - 1.0) * (1.0 - kappa * lam))
+        coef = kappa * gap / ((kappa - 1.0) * (1.0 - kappa * lam))
         return RegimeLabel.mid, coef * decay / root
-    coef = kappa * (1.0 - lam) / ((kappa - 1.0) * (kappa * lam - 1.0))
+    coef = kappa * gap / ((kappa - 1.0) * (kappa * lam - 1.0))
     return RegimeLabel.above_p_over_q, 1.0 - coef * decay / root
 
 
@@ -108,35 +110,25 @@ def p_bounds(split: race.HashSplit, z: int):
 
         sqrt(z/(z+1/2)) s^z/sqrt(pi z)  <=  P(z)  <=  s^z/sqrt(pi (1-s) z)
     """
-    _check_args(split, z)
-    s = split.s
-    base = math.exp(z * math.log(s) - 0.5 * math.log(math.pi * z))
-    lower = math.sqrt(z / (z + 0.5)) * base
-    upper = base / math.sqrt(1.0 - s)
-    return lower, upper
+    upper = p_asymptotic(split, z)
+    return math.sqrt(z / (z + 0.5)) * split.d * upper, upper  # d = sqrt(1 - s)
 
 
 def psn_upper_bound(split: race.HashSplit, z: int) -> float:
     """Strict upper bound for the Nakamoto probability,
     (1/(1-q/p)) e^{-z c(q/p)} / sqrt(2 pi z) + e^{-z c(q/p)} / 2."""
     _check_args(split, z)
-    decay = math.exp(-z * c_function(split.lam))
-    return decay / ((1.0 - split.lam) * math.sqrt(2.0 * math.pi * z)) + 0.5 * decay
-
-
-def _psi(split):
-    # c(q/p) - log(1/s); equals 2 [1/(2p) - 1 - log(1/(2p))] > 0 for q < 1/2
-    return c_function(split.lam) + math.log(split.s)
+    decay = math.exp(-z * race._c_lam(split))
+    return decay / (race._one_minus_lam(split) * math.sqrt(2.0 * math.pi * z)) + 0.5 * decay
 
 
 def z0_sufficient(split: race.HashSplit) -> int:
     """Explicit (non-sharp) rank: for z at or above the returned value the
-    exact probability strictly exceeds Nakamoto's."""
+    exact probability strictly exceeds Nakamoto's.  It is set by the decay-rate
+    gap psi = c(q/p) - ln(1/s) > 0, taken as 2 c(1/(2p)), which does not cancel."""
     _check_args(split)
-    psi = _psi(split)
-    if psi <= 0.0:
-        raise ValueError(f"decay-rate gap must be positive, got {psi} at q={split.q}")
-    first = 2.0 / (math.pi * (1.0 - split.lam) ** 2)
+    psi = 2.0 * specfun._c(-split.d / (2.0 * split.p), -math.log(2.0 * split.p))
+    first = 2.0 / (math.pi * race._one_minus_lam(split) ** 2)
     second = 1.0 / (2.0 * math.sqrt(2.0)) - (
         (1.0 + 1.0 / math.sqrt(2.0)) / 2.0
     ) * math.log(2.0 * psi / math.pi) / psi
@@ -215,9 +207,9 @@ def kappa_threshold(split: race.HashSplit, z: int) -> float:
     [0.05, 0.45] and z in [2, 2000].
     """
     _check_args(split, z, least=2)
-    q, p = split.q, split.p
-    log_target = math.log(split.lam / (1.0 - split.lam))
-    kappa = max(0.5 / q - 1.0, p / q - p * p / (q * (p - q)) / z)
+    q, p, d = split.q, split.p, split.d
+    log_target = math.log(q / d)  # lam/(1-lam)
+    kappa = max(0.5 * d / q, p / q - p * p / (q * d) / z)
     for _ in range(_KAPPA_MAX_ITER):
         total, moment = _threshold_sums(z, kappa)
         if not moment < math.inf:  # inf or nan: the sums overflowed

@@ -79,8 +79,9 @@ def _check_positive(name, x):
 class HashSplit:
     """Attacker/honest hash-power split with its derived quantities.
 
-    q: attacker fraction, the only value stored; p = 1 - q, lam = q/p and
-    s = 4pq are computed from it on access.
+    q: attacker fraction, the only value stored; p = 1 - q, lam = q/p, s = 4pq
+    and d = 1 - 2q (exact for q >= 1/4) are computed from it on access.
+    What vanishes at q = 1/2 is taken from d, as 1 - s = d^2 and 1 - lam = d/p.
     """
 
     q: float
@@ -100,10 +101,23 @@ class HashSplit:
     def s(self) -> float:
         return 4.0 * (1.0 - self.q) * self.q
 
+    @property
+    def d(self) -> float:
+        return 1.0 - 2.0 * self.q
+
     @classmethod
     def from_attacker_share(cls, q: float) -> "HashSplit":
         """HashSplit(q).  Kept because perfbench/worker.py calls and wraps it."""
         return cls(q)
+
+
+def _one_minus_lam(split):
+    return split.d / split.p
+
+
+def _c_lam(split):
+    """c(lam) = lam - 1 - ln lam, the decay rate of P_SN, without cancellation."""
+    return specfun._c(-_one_minus_lam(split), math.log(split.lam))
 
 
 @dataclass(frozen=True)
@@ -254,6 +268,7 @@ def _log_kappa_density(z, kappa):
     specfun._log_gamma_norm.
     """
     log_kappa = np.log(kappa)
+    # plain c: specfun._c loops per element, and _log_conditional's error hides its gain
     return specfun._log_gamma_norm(z) - z * (kappa - 1.0 - log_kappa) - log_kappa
 
 
@@ -291,6 +306,7 @@ def _log_bound(z, lam, log_lam, kappa):
     quadrature's integrand (see recover_p_by_quadrature), less the constant
     ln(z^z e^{-z} / Gamma(z)) of ln f_z."""
     log_kappa = math.log(kappa)
+    # plain c, not specfun._c: h only places the window, and runs 3-9 times a quadrature
     h = -z * (kappa - 1.0 - log_kappa) - log_kappa
     slope = (z - 1.0) / kappa - z
     if kappa < 1.0:
@@ -329,7 +345,7 @@ def _bound_peak(z, lam, log_lam):
         # 1 - sqrt(2 ln 2 / z) at or left of the root, as is lam
         target = _LN2 / z
         x = max(lam, 1.0 - math.sqrt(2.0 * target))
-        while True:
+        while True:  # plain c, not specfun._c: x only places the peak
             step = (x - 1.0 - math.log(x) - target) * x / (1.0 - x)
             x += step
             if step <= 1e-12:
@@ -437,20 +453,17 @@ def _asymptotic_start(split, risk):
     """The rank at which the paper's asymptotics, to next order, put the
     crossing of ``risk`` by Nakamoto's probability; in [1, MAX_CONFIRMATIONS].
 
-    With lam = q/p and c = lam - 1 - ln lam, the two parts of
+    With lam = q/p and c = lam - 1 - ln lam > 0, the two parts of
     P_SN(z) = P[Poisson(z lam) >= z] + e^{-c z} P[Poisson(z) < z] give
     P_SN(z) ~ a(z) e^{-c z} with
     a(z) = erfcx((1-lam) sqrt(z/2)) / 2 + 1/2 - 1 / (3 sqrt(2 pi z)),
     which tends to the paper's 1/2.  The rank solves
     z = ln(a(z) / risk) / c, by three fixed-point steps from z = 1.
     """
-    lam = split.lam
-    c = lam - 1.0 - math.log(lam)
-    if c <= 0.0:  # q so close to 1/2 that the decay rate rounds to 0
-        return MAX_CONFIRMATIONS
+    gap, c = _one_minus_lam(split), _c_lam(split)
 
     def a(z):
-        above = 0.5 * cython_special.erfcx((1.0 - lam) * math.sqrt(0.5 * z))
+        above = 0.5 * cython_special.erfcx(gap * math.sqrt(0.5 * z))
         return above + 0.5 - 1.0 / (3.0 * math.sqrt(2.0 * math.pi * z))
 
     z = 1.0

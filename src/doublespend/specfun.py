@@ -1,8 +1,9 @@
 """Special-function kernel.
 
 Log-gamma, log-space binomial coefficients, the regularized incomplete
-beta function I_x(a, b) and the regularized incomplete gamma functions
-P(s, x) and Q(s, x), in double precision.
+beta function I_x(a, b), the regularized incomplete gamma functions P(s, x)
+and Q(s, x), and the one cancellation-free c(x) = x - 1 - ln x (``_c``, for
+the gamma prefactor and the asymptotics' decay rates), in double precision.
 
 The incomplete gamma values come from ``scipy.special.gammainc`` /
 ``gammaincc`` (Temme's uniform asymptotics near the transition x = s),
@@ -215,24 +216,28 @@ def _log_gamma_norm(s):
     return s * math.log(s) - s - math.lgamma(s)
 
 
-def _log_gamma_prefactor(s, x):
-    """ln(x^s e^{-x} / Gamma(s)) = _log_gamma_norm(s) - s c(x/s), c(t) = t - 1 - ln t.
-
-    Where |x - s| < s/2, c(1 + u) is summed as u v - 2 v^3 (1/3 + v^2/5 + ...),
-    v = u/(2 + u), since u - log1p(u) loses about 1/|u| ulps to cancellation;
-    elsewhere ln t is log(x/s), or log x - log s where x/s is not normal."""
-    d = x - s
-    if abs(d) < 0.5 * s:
-        u = d / s
+def _c(u, log_x):
+    """c(x) = x - 1 - ln x from u = x - 1 and ln x, both supplied accurately
+    by the caller, who never has to form 1 + u.  Where |u| < 1/2 it is summed
+    as u v - 2 v^3 (1/3 + v^2/5 + ...), v = u/(2 + u), since u - ln x loses
+    about 1/|u| ulps to cancellation; elsewhere it is u - ln x."""
+    if abs(u) < 0.5:
         v = u / (2.0 + u)
         v2 = v * v
         total, term, k = 1.0 / 3.0, v2, 5.0
         while term > 1e-17 * total:
             total, term, k = total + term / k, term * v2, k + 2.0
-        return _log_gamma_norm(s) - s * (u * v - 2.0 * v * v2 * total)
+        return u * v - 2.0 * v * v2 * total
+    return u - log_x
+
+
+def _log_gamma_prefactor(s, x):
+    """ln(x^s e^{-x} / Gamma(s)) = _log_gamma_norm(s) - s c(x/s).  Where x/s is not
+    normal, s c(x/s) = x - s - s (log x - log s), as c(x/s) may overflow."""
     t = x / s
-    log_t = math.log(t) if _TINY < t < math.inf else math.log(x) - math.log(s)
-    return _log_gamma_norm(s) - (d - s * log_t)
+    if not _TINY < t < math.inf:
+        return _log_gamma_norm(s) - (x - s - s * (math.log(x) - math.log(s)))
+    return _log_gamma_norm(s) - s * _c((x - s) / s, math.log(t))
 
 
 def _log_lower_gamma_kummer(s, x):

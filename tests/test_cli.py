@@ -1,11 +1,15 @@
 """End-to-end command-line tests via main(argv)."""
 
+import contextlib
 import csv
 import functools
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublespend import asymptotics, cli, race, sim, specfun
 from doublespend.cli import main
@@ -43,6 +47,41 @@ class TestProb:
         assert main(["prob", "--q", "0.7", "--z", "6"]) == 2
         err = capsys.readouterr().err
         assert "q" in err
+
+    def test_asymptotic_where_s_rounds_to_one(self, capsys):
+        # 4pq rounds to 1 here: ln s was ln 1 = 0 and 1 - s was 0, and the
+        # command used to exit 2 with "math domain error"
+        mp = pytest.importorskip("mpmath")
+        q = 0.499999999999
+        assert race.HashSplit(q).s == 1.0
+        assert main(["prob", "--q", repr(q), "--z", "10", "--method", "asymptotic"]) == 0
+        got = float(capsys.readouterr().out.split()[0])
+        with mp.workdps(40):
+            s = 4 * mp.mpf(q) * (1 - mp.mpf(q))
+            ref = s**10 / mp.sqrt(mp.pi * (1 - s) * 10)
+            assert abs(got - ref) <= 1e-14 * ref
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.one_of(
+            # 1/2 - q log-uniform in [1e-15, 1/2), and q log-uniform in [1e-300, 0.1]
+            st.floats(math.log(1e-15), math.log(0.5), exclude_max=True)
+            .map(lambda e: 0.5 - math.exp(e))
+            .filter(lambda q: q > 0.0),
+            st.floats(math.log(1e-300), math.log(0.1)).map(math.exp),
+        ),
+        method=st.sampled_from(["exact", "nakamoto", "asymptotic"]),
+        log_z=st.floats(0.0, 1.0),
+    )
+    def test_prints_a_finite_value_for_every_q_below_half(self, q, method, log_z):
+        # z log-uniform up to 10^6; up to 10^4 for nakamoto, whose call takes
+        # about 0.5 s at 10^6
+        z = int(10.0 ** (log_z * (4 if method == "nakamoto" else 6)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["prob", "--q", repr(q), "--z", str(z), "--method", method])
+        assert code == 0, (q, z, method)
+        assert math.isfinite(float(out.getvalue().split()[0]))
 
 
 class TestConditional:

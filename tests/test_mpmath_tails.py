@@ -283,3 +283,123 @@ def test_log_kappa_density(z):
         for k, value in zip(kappa, got):
             ref = z * mp.log(z) - mp.loggamma(z) + (z - 1) * mp.log(k) - z * mp.mpf(k)
             assert abs(value - ref) <= mp.mpf("1e-12"), (k, value, ref)
+
+
+# The near-1/2 ledger: the asymptotic formulas and bounds against 60-digit
+# mpmath at the double q, each held to the ulp-scaled gate on ln v.  Near
+# q = 1/2, 1 - s, ln s and c(q/p) used to be formed by cancellation, and
+# lost about 1/d^2 or 1/d ulps, d = 1 - 2q (1.7e-5 relative at q = 0.499999).
+LEDGER_DPS = 60
+NEAR_HALF_QS = [0.499, 0.4999, 0.49999, 0.499999]
+
+
+def within_ulps(got, ref, k=8):
+    """|ln got - ln ref| <= k eps max(1, |ln ref|) for positive values."""
+    with mp.workdps(LEDGER_DPS):
+        log_ref = mp.log(ref)
+        return abs(mp.log(got) - log_ref) <= k * 2.0**-52 * max(1, abs(log_ref))
+
+
+def c_mp(x):
+    with mp.workdps(LEDGER_DPS):
+        return x - 1 - mp.log(x)
+
+
+def asymptotics_mp(q, z):
+    """Each asymptotic formula and bound, by name, at the double q."""
+    with mp.workdps(LEDGER_DPS):
+        q = mp.mpf(q)
+        p = 1 - q
+        s, lam = 4 * p * q, q / p
+        upper = s**z / mp.sqrt(mp.pi * (1 - s) * z)
+        decay = mp.exp(-z * c_mp(lam))
+        return {
+            "p_asymptotic": upper,
+            "p_bounds lower": mp.sqrt(z / (z + mp.mpf(0.5))) * s**z / mp.sqrt(mp.pi * z),
+            "p_bounds upper": upper,
+            "psn_asymptotic": decay / 2,
+            "psn_upper_bound": decay / ((1 - lam) * mp.sqrt(2 * mp.pi * z)) + decay / 2,
+        }
+
+
+def assert_asymptotics_within_ulps(q, z):
+    s = split(q)
+    lower, upper = asymptotics.p_bounds(s, z)
+    got = {
+        "p_asymptotic": asymptotics.p_asymptotic(s, z),
+        "p_bounds lower": lower,
+        "p_bounds upper": upper,
+        "psn_asymptotic": asymptotics.psn_asymptotic(s, z),
+        "psn_upper_bound": asymptotics.psn_upper_bound(s, z),
+    }
+    for name, ref in asymptotics_mp(q, z).items():
+        assert within_ulps(got[name], ref), (name, q, z, got[name], ref)
+    # c_function's own argument is lam rounded to a double
+    assert within_ulps(asymptotics.c_function(s.lam), c_mp(mp.mpf(s.lam))), q
+
+
+def z0_sufficient_mp(q):
+    """max(first, second) of z0_sufficient at the double q, unrounded, with
+    the decay-rate gap psi = c(q/p) - ln(1/s) as defined."""
+    with mp.workdps(LEDGER_DPS):
+        q = mp.mpf(q)
+        p = 1 - q
+        psi = c_mp(q / p) + mp.log(4 * p * q)
+        first = 2 / (mp.pi * (1 - q / p) ** 2)
+        root2 = mp.sqrt(2)
+        second = 1 / (2 * root2) - (1 + 1 / root2) / 2 * mp.log(2 * psi / mp.pi) / psi
+        return max(first, second)
+
+
+@pytest.mark.parametrize("z", [10, 10**3, 10**5])
+@pytest.mark.parametrize("q", NEAR_HALF_QS)
+def test_asymptotics_near_half(q, z):
+    assert_asymptotics_within_ulps(q, z)
+    # the decay rate at lam = q/p itself, not at lam rounded
+    with mp.workdps(LEDGER_DPS):
+        assert within_ulps(race._c_lam(split(q)), c_mp(mp.mpf(q) / (1 - mp.mpf(q))))
+
+
+@pytest.mark.parametrize(
+    "q, rank",
+    [(0.499, 2756516), (0.4999, 373235403), (0.49999, 47141231049), (0.499999, 5696697124509)],
+)
+def test_z0_sufficient_near_half(q, rank):
+    # the ψ = c(q/p) + ln s of old put the last two at 47141221448 and 5696894466839
+    with mp.workdps(LEDGER_DPS):
+        assert int(mp.ceil(z0_sufficient_mp(q))) == rank
+    assert asymptotics.z0_sufficient(split(q)) == rank
+
+
+def test_z0_sufficient_next_to_half():
+    # ψ = c(q/p) + ln s rounded to -1.1e-16 here and raised ValueError
+    q = math.nextafter(0.5, 0.0)
+    assert within_ulps(asymptotics.z0_sufficient(split(q)), z0_sufficient_mp(q))
+
+
+def test_p_bounds_where_s_rounds_to_one():
+    # 1 - s rounded to 0 here and raised ZeroDivisionError
+    q = 0.499999999999
+    assert split(q).s == 1.0
+    lower, upper = asymptotics.p_bounds(split(q), 10)
+    ref = asymptotics_mp(q, 10)
+    assert within_ulps(lower, ref["p_bounds lower"])
+    assert within_ulps(upper, ref["p_bounds upper"])
+
+
+@pytest.mark.parametrize("q, z", [(1e-300, 1), (1e-20, 10), (1e-9, 30), (0.01, 100), (0.25, 1000)])
+def test_asymptotics_far_from_half(q, z):
+    # ln s = log1p(-d^2) would be -inf at q = 1e-20, where ln 4pq is exact
+    assert_asymptotics_within_ulps(q, z)
+
+
+@pytest.mark.parametrize("x", [1 + 2.0**-30, 1 - 2.0**-30, 1 + 1e-6, 1 - 1e-6])
+def test_c_function_near_one(x):
+    # x - 1 - ln x loses 66000 ulps to cancellation at 1 - 2^-30
+    assert within_ulps(asymptotics.c_function(x), c_mp(mp.mpf(x)))
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 2.0**-60, 0.25, 0.5, 1.5, 2.0, 1e300])
+def test_c_function_far_from_one(x):
+    # ln x taken as log1p(x - 1) would fail at x = 1e-300, where x - 1 is -1
+    assert within_ulps(asymptotics.c_function(x), c_mp(mp.mpf(x)))

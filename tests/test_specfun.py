@@ -212,6 +212,13 @@ class TestRegUpperGammaQ:
             reg_upper_gamma_q(6.0, 24.0), rel=1e-12
         )
 
+    def test_log_variant_where_x_over_s_overflows(self):
+        # ln Q(s, x) = -x + (s - 1) ln x - lgamma(s) + O(1/x) stays finite
+        # where c(x/s) overflows, as x/s does
+        for s, x in ((1e-5, 1e305), (0.5, 1.7e308)):
+            ref = -x + (s - 1.0) * math.log(x) - math.lgamma(s)
+            assert log_reg_upper_gamma_q(s, x) == pytest.approx(ref, rel=1e-15)
+
 
 class TestLogArrays:
     """A numpy array argument runs the ufunc once, with the log-space
