@@ -208,7 +208,6 @@ def _log_conditional(lam, z, kappa):
     # x (1 - lam) is inf only where kappa z overflows; Q(z, x) = 0 there, and
     # taking it as 0 makes the tail -inf rather than inf - inf
     if isinstance(growth, np.ndarray):
-        z = np.broadcast_to(z, np.shape(x))  # the kernels take their array path on z
         growth[growth == math.inf] = 0.0
         log_lam = np.log(lam) if isinstance(lam, np.ndarray) else math.log(lam)
     else:
@@ -267,7 +266,7 @@ def _log_kappa_density(z, kappa):
     where no two terms of size z ln z cancel; the last term is
     specfun._log_gamma_norm.
     """
-    log_kappa = np.log(kappa)
+    log_kappa = np.log(kappa) if isinstance(kappa, np.ndarray) else math.log(kappa)
     # plain c: specfun._c loops per element, and _log_conditional's error hides its gain
     return specfun._log_gamma_norm(z) - z * (kappa - 1.0 - log_kappa) - log_kappa
 

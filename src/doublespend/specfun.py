@@ -15,12 +15,14 @@ and ln I_x from hand-rolled continued fractions (scipy's ``hyperu`` takes
 up to 0.1 s a call at s = 10^6, its ``hyp2f1`` gives nan for the beta
 tail at q = 0.49).  For numbers they call the scalar entry points in
 ``scipy.special.cython_special``: the same kernels without the
-microsecond of array dispatch a ufunc spends on each scalar.  Given a
-numpy array (s for the gamma functions, a for the beta) of any shape,
-0-d included, they check its least element and call the ufunc once over
-it.  Where no value is below 1e-300 they take its log in one pass;
-otherwise they take the log of the value floored at 1e-300 and run the
-log-space fallback only on the elements below the floor.  An element
+microsecond of array dispatch a ufunc spends on each scalar.  The gamma
+functions take their array path if any argument is a numpy array, the
+beta function if a is; an array may have any shape, 0-d included.  They
+check the least element of each array argument and call the ufunc once
+over the broadcast of all of them, so a number need not be broadcast to
+an array first.  Where no value is below 1e-300 they take its log in one
+pass; otherwise they take the log of the value floored at 1e-300 and run
+the log-space fallback only on the elements below the floor.  An element
 below the floor is bit-identical to the scalar call at its arguments;
 one above it is within one ulp, since numpy's vectorised log (SIMD on
 AVX-512 hosts) and ``math.log`` may round the same value apart.
@@ -274,11 +276,9 @@ def _log_upper_gamma_cf(s, x):
     )
 
 
-def _check_gamma_args(name, s, x):
-    if not s > 0.0:
-        raise ValueError(f"{name} requires s > 0, got s={s}")
-    if not x >= 0.0:
-        raise ValueError(f"{name} requires x >= 0, got x={x}")
+def _least(a):
+    """The least element of a numpy array, or a number itself."""
+    return a.min() if isinstance(a, _ARRAY) else a
 
 
 def reg_upper_gamma_q(s: float, x: float) -> float:
@@ -287,33 +287,34 @@ def reg_upper_gamma_q(s: float, x: float) -> float:
     For integer s this is the Poisson CDF partial sum
     sum_{k<s} x^k/k! e^{-x}.
     """
-    _check_gamma_args("reg_upper_gamma_q", s, x)
+    if not (s > 0.0 and x >= 0.0):
+        raise ValueError(f"reg_upper_gamma_q requires s > 0 and x >= 0, got s={s}, x={x}")
     return cython_special.gammaincc(s, x)
 
 
 def log_reg_upper_gamma_q(s, x):
     """ln Q(s, x); finite for x far above s where Q underflows.  Elementwise
-    if s is a numpy array (x a number or an array that broadcasts with s)."""
-    array = isinstance(s, _ARRAY)
-    _check_gamma_args(
-        "log_reg_upper_gamma_q", s.min() if array else s, np.asarray(x).min() if array else x)
-    if array:
-        return _log_or_fallback(special.gammaincc(s, x), _log_upper_gamma_cf, s, x)
-    v = cython_special.gammaincc(s, x)
-    if v >= _TINY:
-        return math.log(v)
-    return _log_upper_gamma_cf(s, x)
+    over the broadcast of s and x if either is a numpy array."""
+    if isinstance(s, _ARRAY) or isinstance(x, _ARRAY):
+        if _least(s) > 0.0 and _least(x) >= 0.0:
+            return _log_or_fallback(special.gammaincc(s, x), _log_upper_gamma_cf, s, x)
+    elif s > 0.0 and x >= 0.0:
+        v = cython_special.gammaincc(s, x)
+        if v >= _TINY:
+            return math.log(v)
+        return _log_upper_gamma_cf(s, x)
+    raise ValueError(f"log_reg_upper_gamma_q requires s > 0 and x >= 0, got s={s}, x={x}")
 
 
 def log_reg_lower_gamma_p(s, x):
     """ln P(s, x) = ln(1 - Q(s, x)); finite for x far below s.  Elementwise
-    if s is a numpy array (x a number or an array that broadcasts with s)."""
-    array = isinstance(s, _ARRAY)
-    if not ((s.min() if array else s) > 0.0 and (np.asarray(x).min() if array else x) > 0.0):
-        raise ValueError(f"log_reg_lower_gamma_p requires s > 0 and x > 0, got s={s}, x={x}")
-    if array:
-        return _log_or_fallback(special.gammainc(s, x), _log_lower_gamma_kummer, s, x)
-    v = cython_special.gammainc(s, x)
-    if v >= _TINY:
-        return math.log(v)
-    return _log_lower_gamma_kummer(s, x)
+    over the broadcast of s and x if either is a numpy array."""
+    if isinstance(s, _ARRAY) or isinstance(x, _ARRAY):
+        if _least(s) > 0.0 and _least(x) > 0.0:
+            return _log_or_fallback(special.gammainc(s, x), _log_lower_gamma_kummer, s, x)
+    elif s > 0.0 and x > 0.0:
+        v = cython_special.gammainc(s, x)
+        if v >= _TINY:
+            return math.log(v)
+        return _log_lower_gamma_kummer(s, x)
+    raise ValueError(f"log_reg_lower_gamma_p requires s > 0 and x > 0, got s={s}, x={x}")
