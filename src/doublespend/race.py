@@ -193,34 +193,46 @@ def nakamoto_probability(split: HashSplit, z: int) -> float:
     return conditional_probability(split, z, 1.0)
 
 
-def _log_conditional(lam, z, kappa):
+def _log_conditional(q, z, kappa):
     """ln[P(z, kappa z lam) + lam^z e^{kappa z (1-lam)} Q(z, kappa z)] at
     lam = q/p, the tail summed in log space because e^{kappa z (1-lam)}
-    overflows where Q(z, kappa z) underflows.
+    overflows where Q(z, kappa z) underflows.  With d = 1 - 2q, 1 - lam is
+    d/p, and ln lam is log1p(-d) - log1p(d) where d < 1/2, so near q = 1/2
+    neither comes from the rounded lam; elsewhere ln lam is log(q/p), since
+    log1p(-d) fails where d rounds to 1.
 
-    Elementwise over the broadcast of lam, z and kappa if any is a numpy
-    array (z then of integer dtype).  ln Q(z, kappa z) does not depend on
-    lam, so it is evaluated over the broadcast of z and kappa alone: a grid
-    of lam against kappa computes each Q once.
+    Elementwise over the broadcast of q, z and kappa if any is a numpy
+    array (z then of integer dtype).  The gamma kernels take their array
+    path from any array argument, so z goes to them as it is: an int
+    against an array of kappa z, or an array of ranks.  ln Q(z, kappa z)
+    does not depend on q, so it is evaluated over the broadcast of z and
+    kappa alone: a grid of q against kappa computes each Q once.
     """
+    p, d = 1.0 - q, 1.0 - 2.0 * q
+    lam = q / p
+    if isinstance(q, np.ndarray):
+        # capped, so that no cell takes log1p(-1), not even one np.where drops
+        capped = np.minimum(d, 0.5)
+        log_lam = np.where(d < 0.5, np.log1p(-capped) - np.log1p(capped), np.log(lam))
+    elif d < 0.5:
+        log_lam = math.log1p(-d) - math.log1p(d)
+    else:
+        log_lam = math.log(lam)
     x = kappa * z
-    growth = x * (1.0 - lam)
+    growth = x * (d / p)
     # x (1 - lam) is inf only where kappa z overflows; Q(z, x) = 0 there, and
     # taking it as 0 makes the tail -inf rather than inf - inf
     if isinstance(growth, np.ndarray):
         growth[growth == math.inf] = 0.0
-        log_lam = np.log(lam) if isinstance(lam, np.ndarray) else math.log(lam)
-    else:
-        if growth == math.inf:
-            growth = 0.0
-        log_lam = math.log(lam)
+    elif growth == math.inf:
+        growth = 0.0
     head = specfun.log_reg_lower_gamma_p(z, x * lam)
     tail = z * log_lam + growth + specfun.log_reg_upper_gamma_q(z, x)
     return _logaddexp(head, tail)
 
 
 def _log_nakamoto(split, z):
-    return _log_conditional(split.lam, z, 1.0)
+    return _log_conditional(split.q, z, 1.0)
 
 
 def conditional_probability(split: HashSplit, z: int, kappa: float) -> float:
@@ -234,7 +246,7 @@ def conditional_probability(split: HashSplit, z: int, kappa: float) -> float:
     _check_positive("kappa", kappa)
     if split.q == 0.5:
         return 1.0
-    return specfun._clamp01(math.exp(_log_conditional(split.lam, z, kappa)))
+    return specfun._clamp01(math.exp(_log_conditional(split.q, z, kappa)))
 
 
 def _conditional_over_kappa(q, z, kappa):
@@ -255,12 +267,12 @@ def _conditional_over_kappa(q, z, kappa):
     # kappa z may overflow to inf, where Q(z, inf) = 0; at q = 1/2 that makes
     # the growth inf * 0, in a cell that is set to 1
     with np.errstate(over="ignore", invalid="ignore"):
-        log_p = _log_conditional(q / (1.0 - q), z, kappa)
+        log_p = _log_conditional(q, z, kappa)
     return np.where(q == 0.5, 1.0, np.clip(np.exp(log_p), 0.0, 1.0))
 
 
 def _log_kappa_density(z, kappa):
-    """ln f_z(kappa), elementwise if kappa is a numpy array.
+    """ln f_z(kappa), elementwise if kappa is a numpy array, else a float.
 
     Written as -z (kappa - 1 - ln kappa) - ln kappa + ln(z^z e^{-z} / Gamma(z)),
     where no two terms of size z ln z cancel; the last term is
@@ -297,7 +309,7 @@ def _gauss_legendre():
 
 def _log_quadrature_integrand(split, z, kappa):
     """ln[P(z, kappa) f_z(kappa)] over an array of kappa, in one kernel call."""
-    return _log_conditional(split.lam, z, kappa) + _log_kappa_density(z, kappa)
+    return _log_conditional(split.q, z, kappa) + _log_kappa_density(z, kappa)
 
 
 def _log_bound(z, lam, log_lam, kappa):
@@ -424,7 +436,7 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
     # peak; at one point the scalar kernels cost an order of magnitude less
     # than an array call.  Like h, the level leaves out ln f_z's constant
     level = (
-        _log_conditional(lam, z, peak)
+        _log_conditional(split.q, z, peak)
         + _log_kappa_density(z, peak)
         - specfun._log_gamma_norm(z)
         - _QUAD_DEPTH

@@ -56,7 +56,10 @@ _TINY = 1e-300
 _REL_EPS = 1e-14
 # iteration cap of the two continued fractions
 _MAX_ITER = 5000
-# an argument of this type makes a log function run its ufunc over all of it
+# an argument of this type makes a log function run its ufunc over all of it.
+# The gamma functions test two arguments by exact type, at about the cost of
+# the one isinstance test they made before; an ndarray subclass counts there
+# as a number
 _ARRAY = np.ndarray
 
 
@@ -278,7 +281,7 @@ def _log_upper_gamma_cf(s, x):
 
 def _least(a):
     """The least element of a numpy array, or a number itself."""
-    return a.min() if isinstance(a, _ARRAY) else a
+    return a.min() if type(a) is _ARRAY else a
 
 
 def reg_upper_gamma_q(s: float, x: float) -> float:
@@ -295,7 +298,7 @@ def reg_upper_gamma_q(s: float, x: float) -> float:
 def log_reg_upper_gamma_q(s, x):
     """ln Q(s, x); finite for x far above s where Q underflows.  Elementwise
     over the broadcast of s and x if either is a numpy array."""
-    if isinstance(s, _ARRAY) or isinstance(x, _ARRAY):
+    if type(s) is _ARRAY or type(x) is _ARRAY:
         if _least(s) > 0.0 and _least(x) >= 0.0:
             return _log_or_fallback(special.gammaincc(s, x), _log_upper_gamma_cf, s, x)
     elif s > 0.0 and x >= 0.0:
@@ -309,7 +312,7 @@ def log_reg_upper_gamma_q(s, x):
 def log_reg_lower_gamma_p(s, x):
     """ln P(s, x) = ln(1 - Q(s, x)); finite for x far below s.  Elementwise
     over the broadcast of s and x if either is a numpy array."""
-    if isinstance(s, _ARRAY) or isinstance(x, _ARRAY):
+    if type(s) is _ARRAY or type(x) is _ARRAY:
         if _least(s) > 0.0 and _least(x) > 0.0:
             return _log_or_fallback(special.gammainc(s, x), _log_lower_gamma_kummer, s, x)
     elif s > 0.0 and x > 0.0:

@@ -77,7 +77,7 @@ def first_settled_rank(is_bad, window):
 def z0_sharp_scan(s):
     """The scalar z0_sharp: a scan over scalar P_SN and scalar log-beta probes."""
     return first_settled_rank(
-        lambda w: race._log_conditional(s.lam, w, 1.0) >= log_inc_beta_cf(s.s, w, 0.5), 200
+        lambda w: race._log_conditional(s.q, w, 1.0) >= log_inc_beta_cf(s.s, w, 0.5), 200
     )
 
 

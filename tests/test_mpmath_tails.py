@@ -48,9 +48,9 @@ def nakamoto_mp(q, z):
         )
 
 
-def conditional_mp(q, z, kappa):
+def conditional_mp(q, z, kappa, dps=DPS):
     """P(z, kappa) = P(z, kappa z lam) + lam^z e^{kappa z (1-lam)} Q(z, kappa z)."""
-    with mp.workdps(DPS):
+    with mp.workdps(dps):
         q = mp.mpf(q)
         lam = q / (1 - q)
         x = mp.mpf(kappa) * z
@@ -102,7 +102,7 @@ def test_million_confirmations_in_log_space(q, kappa):
     assert_close(race.conditional_probability(s, z, kappa), conditional_mp(q, z, kappa))
     with mp.workdps(DPS):
         ref = mp.log(conditional_mp(q, z, kappa))
-    assert abs(race._log_conditional(s.lam, z, kappa) - ref) <= 1e-12 * abs(ref)
+    assert abs(race._log_conditional(s.q, z, kappa) - ref) <= 1e-12 * abs(ref)
 
 
 # (s, x) pairs where the value sits near 1e-295 (scipy path) and near
@@ -358,6 +358,16 @@ def test_asymptotics_near_half(q, z):
     # the decay rate at lam = q/p itself, not at lam rounded
     with mp.workdps(LEDGER_DPS):
         assert within_ulps(race._c_lam(split(q)), c_mp(mp.mpf(q) / (1 - mp.mpf(q))))
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.7, 1.3, 1.9])
+@pytest.mark.parametrize("z", [10, 10**3, 10**4])
+@pytest.mark.parametrize("q", NEAR_HALF_QS)
+def test_conditional_near_half(q, z, kappa):
+    # 1 - lam and ln lam formed from the rounded lam = q/p lost about 1/d ulps
+    # each; they put P(10^4, 0.3) at q = 0.49999 off by 1.0e-12 relative
+    got = race.conditional_probability(split(q), z, kappa)
+    assert within_ulps(got, conditional_mp(q, z, kappa, LEDGER_DPS)), (q, z, kappa)
 
 
 @pytest.mark.parametrize(

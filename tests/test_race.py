@@ -265,7 +265,7 @@ class TestLogArrays:
         z = np.arange(2, 2001)
         nakamoto = race._log_nakamoto(s, z)
         np.testing.assert_allclose(
-            nakamoto, [race._log_conditional(s.lam, int(k), 1.0) for k in z], rtol=1e-13, atol=0
+            nakamoto, [race._log_conditional(s.q, int(k), 1.0) for k in z], rtol=1e-13, atol=0
         )
         if q == 0.001:
             # the per-element log fallback runs where the values underflow
@@ -397,6 +397,38 @@ class TestQuadratureRecovery:
         recover_p_by_quadrature(split(q), z)
         assert sizes == [race._QUAD_NODES]
 
+    def test_kernel_arguments(self, monkeypatch):
+        # one scalar call of each gamma kernel, at the peak of the bound, and
+        # one array call over the 64 nodes, where z goes in as the int it is
+        # rather than broadcast to the nodes' shape
+        s, z = split(0.3), 24
+        calls = []
+
+        def recorded(name):
+            kernel = getattr(specfun, name)
+
+            def call(s_arg, x):
+                calls.append((name, s_arg, x))
+                return kernel(s_arg, x)
+
+            return call
+
+        for name in ("log_reg_lower_gamma_p", "log_reg_upper_gamma_q"):
+            monkeypatch.setattr(specfun, name, recorded(name))
+        recover_p_by_quadrature(s, z)
+        peak = race._bound_peak(z, s.lam, math.log(s.lam))
+        scalar = [call for call in calls if not isinstance(call[2], np.ndarray)]
+        array = [call for call in calls if isinstance(call[2], np.ndarray)]
+        assert scalar == [
+            ("log_reg_lower_gamma_p", z, peak * z * s.lam),
+            ("log_reg_upper_gamma_q", z, peak * z),
+        ]
+        assert [name for name, _, _ in array] == ["log_reg_lower_gamma_p", "log_reg_upper_gamma_q"]
+        for _, s_arg, x in array:
+            assert type(s_arg) is int and x.shape == (race._QUAD_NODES,)
+        # so the cut level and the Newton iterates are Python floats
+        assert type(race._log_kappa_density(z, 1.3)) is float
+
     @pytest.mark.parametrize("q", [0.001, 0.1, 0.45, 0.4999])
     @pytest.mark.parametrize("z", [1, 24, 2000, 10**6])
     def test_scalar_probe_matches_array_integrand(self, monkeypatch, q, z):
@@ -416,7 +448,7 @@ class TestQuadratureRecovery:
         recover_p_by_quadrature(s, z)
         monkeypatch.undo()
         [kappa] = peaks
-        probe = race._log_conditional(s.lam, z, kappa) + race._log_kappa_density(z, kappa)
+        probe = race._log_conditional(s.q, z, kappa) + race._log_kappa_density(z, kappa)
         array = race._log_quadrature_integrand(s, z, np.array([kappa]))[0]
         assert abs(probe - array) <= 2 * math.ulp(array), (probe, array)
 

@@ -274,6 +274,28 @@ class TestLogArrays:
             got = got.ravel()
         assert [float(g).hex() for g in got] == [v.hex() for v in scalars]
 
+    # s a Python number and x an array, so the gamma kernels take their
+    # array path from x alone; two elements of each x lie below 1e-300
+    NUMBER_S = [
+        (log_reg_upper_gamma_q, 6.0, np.array([24.0, 730.48, 1.0, 707.29, 800.0, 100.0])),
+        (log_reg_lower_gamma_p, 100, np.array([10.0, 0.033872, 50.0, 0.042647, 0.01, 150.0])),
+    ]
+
+    @pytest.mark.parametrize("fn, s, x", NUMBER_S)
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+    def test_number_s_with_array_x_bit_identical_to_scalar(self, fn, s, x, shape):
+        scalars = [fn(s, float(v)) for v in x]
+        assert min(scalars) < math.log(1e-300) < max(scalars)
+        if shape == ():
+            got = [fn(s, np.array(v)) for v in x]
+            # a numpy scalar, as the ufunc path returns for a 0-d array
+            assert all(type(g) is np.float64 for g in got)
+        else:
+            got = fn(s, x.reshape(shape))
+            assert got.shape == shape
+            got = got.ravel()
+        assert [float(g).hex() for g in got] == [v.hex() for v in scalars]
+
     @staticmethod
     def random_calls(fn):
         """Seeded argument tuples for fn; some of its values fall below 1e-300."""
