@@ -15,17 +15,16 @@ and ln I_x from hand-rolled continued fractions (scipy's ``hyperu`` takes
 up to 0.1 s a call at s = 10^6, its ``hyp2f1`` gives nan for the beta
 tail at q = 0.49).  For numbers they call the scalar entry points in
 ``scipy.special.cython_special``: the same kernels without the
-microsecond of array dispatch a ufunc spends on each scalar.  The gamma
-functions take their array path if any argument is a numpy array, the
-beta function if a is; an array may have any shape, 0-d included.  They
-check the least element of each array argument and call the ufunc once
-over the broadcast of all of them, so a number need not be broadcast to
-an array first.  Where no value is below 1e-300 they take its log in one
-pass; otherwise they take the log of the value floored at 1e-300 and run
-the log-space fallback only on the elements below the floor.  An element
-below the floor is bit-identical to the scalar call at its arguments;
-one above it is within one ulp, since numpy's vectorised log (SIMD on
-AVX-512 hosts) and ``math.log`` may round the same value apart.
+microsecond of array dispatch a ufunc spends on each scalar.  Given a
+numpy array of any shape, 0-d included, as any argument of the gamma
+functions or as a of the beta, they check each array's least element and
+call the ufunc once over the broadcast of the arguments.  Where no value
+is below 1e-300 they take its log in one pass; otherwise they take the
+log of the value floored at 1e-300 and run the log-space fallback only
+on the elements below the floor.  An element below the floor is
+bit-identical to the scalar call at its arguments; one above it is
+within one ulp, since numpy's vectorised log (SIMD on AVX-512 hosts) and
+``math.log`` may round the same value apart.
 
 The linear ``reg_inc_beta`` is still hand-rolled (a continued fraction
 with its prefactor assembled in log space): the last bits of its values
@@ -56,10 +55,8 @@ _TINY = 1e-300
 _REL_EPS = 1e-14
 # iteration cap of the two continued fractions
 _MAX_ITER = 5000
-# an argument of this type makes a log function run its ufunc over all of it.
-# The gamma functions test two arguments by exact type, at about the cost of
-# the one isinstance test they made before; an ndarray subclass counts there
-# as a number
+# an argument of this type makes a log function run its ufunc over all of it;
+# the gamma functions test both arguments by exact type, as cheap as one isinstance
 _ARRAY = np.ndarray
 
 
