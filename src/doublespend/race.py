@@ -17,6 +17,7 @@ Conventions used throughout:
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,7 @@ _QUAD_DEPTH = 40.0
 _QUAD_NODES = 64
 _QUAD_EDGE_TOL = 0.01
 _LN2 = math.log(2.0)
+_DBL_MAX = sys.float_info.max
 
 
 def _check_share(q):
@@ -150,12 +152,22 @@ def _logaddexp(a, b):
     return m + math.log1p(math.exp(-abs(a - b)))
 
 
+def _log_lam(q):
+    """ln(q/p) for a number q.  With d = 1 - 2q it is log1p(-d) - log1p(d)
+    where d < 1/2, so near q = 1/2 it does not come from the rounded q/p;
+    elsewhere log(q/p), since log1p(-d) fails where d rounds to 1."""
+    d = 1.0 - 2.0 * q
+    if d < 0.5:
+        return math.log1p(-d) - math.log1p(d)
+    return math.log(q / (1.0 - q))
+
+
 def catchup_probability(split: HashSplit, n: int) -> float:
     """Probability (q/p)^n that an attacker n blocks behind ever leads."""
     _check_count("n", n, 0)
     if n == 0 or split.q == 0.5:
         return 1.0
-    return math.exp(n * math.log(split.lam))
+    return math.exp(n * _log_lam(split.q))
 
 
 def negbin_pmf(split: HashSplit, n: int, k: int) -> float:
@@ -197,9 +209,8 @@ def _log_conditional(q, z, kappa):
     """ln[P(z, kappa z lam) + lam^z e^{kappa z (1-lam)} Q(z, kappa z)] at
     lam = q/p, the tail summed in log space because e^{kappa z (1-lam)}
     overflows where Q(z, kappa z) underflows.  With d = 1 - 2q, 1 - lam is
-    d/p, and ln lam is log1p(-d) - log1p(d) where d < 1/2, so near q = 1/2
-    neither comes from the rounded lam; elsewhere ln lam is log(q/p), since
-    log1p(-d) fails where d rounds to 1.
+    d/p, and ln lam is _log_lam's, so near q = 1/2 neither comes from the
+    rounded lam.
 
     Elementwise over the broadcast of q, z and kappa if any is a numpy
     array (z then of integer dtype).  The gamma kernels take their array
@@ -214,16 +225,14 @@ def _log_conditional(q, z, kappa):
         # capped, so that no cell takes log1p(-1), not even one np.where drops
         capped = np.minimum(d, 0.5)
         log_lam = np.where(d < 0.5, np.log1p(-capped) - np.log1p(capped), np.log(lam))
-    elif d < 0.5:
-        log_lam = math.log1p(-d) - math.log1p(d)
     else:
-        log_lam = math.log(lam)
+        log_lam = _log_lam(q)
     x = kappa * z
     growth = x * (d / p)
     # x (1 - lam) is inf only where kappa z overflows; Q(z, x) = 0 there, and
-    # taking it as 0 makes the tail -inf rather than inf - inf
+    # taking it as finite makes the tail -inf rather than inf - inf
     if isinstance(growth, np.ndarray):
-        growth[growth == math.inf] = 0.0
+        np.minimum(growth, _DBL_MAX, out=growth)
     elif growth == math.inf:
         growth = 0.0
     head = specfun.log_reg_lower_gamma_p(z, x * lam)
@@ -493,8 +502,22 @@ def confirmations_required(
     the a with I_s(a, 1/2) = risk, from scipy's inverse btdtria; Nakamoto's
     where the paper's asymptotics cross ``risk`` (see _asymptotic_start).
     From there it gallops in steps of 1, 2, 4, ... until it brackets the
-    crossing, and bisects the bracket.  Both probabilities decrease in z,
-    so the answer is their strict crossing wherever the search starts.
+    crossing, and bisects the bracket.  Both probabilities strictly
+    decrease in z, so the answer is their strict crossing wherever the
+    search starts.
+
+    Proof: with f(x) = min(1, lam^x), the catch-up chance from a deficit
+    x, P_SN(z) = E f(z - N) with N ~ Poisson(z lam), and P(z) = E f(z - N)
+    with N negative binomial.  Going from z to z + 1 adds to N an
+    independent M, Poisson(lam) for P_SN and geometric, P[M = m] = p q^m,
+    for P; so the probability at z + 1 is E g(z - N) with
+    g(x) = E f(x + 1 - M).  For P_SN, E lam^-M = e^(1 - lam), so at x >= 1
+    g(x) <= lam^x lam e^(1 - lam) = f(x) e^(-c(lam)) < f(x), since
+    c(lam) = lam - 1 - ln lam > 0.  For P, E lam^-M = 1/lam, so
+    E lam^(x + 1 - M) = lam^x, and the clip at 1 makes g(x) < f(x) at
+    x >= 0, since M >= x + 2 has positive probability.  At x <= 0,
+    g(x) <= 1 = f(x).  N <= z - 1 has positive probability, so the
+    probability at z + 1 is strictly below the one at z.
     """
     if not 0.0 < risk < 1.0:
         raise ValueError(f"risk must lie strictly between 0 and 1, got {risk}")

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .race import HashSplit, NetworkParams, _check_count, _check_positive
+from .race import HashSplit, NetworkParams, _check_count, _check_positive, _log_lam
 
 __all__ = [
     "SimConfig",
@@ -150,9 +150,7 @@ def _walk(q, deficit, deficit_cap, rng):
     that a double can resolve.  At q = 1/2 there is no C and the stop is
     deficit_cap.
     """
-    # ln(q/p) as in race._log_conditional: from d = 1 - 2q where d < 1/2
-    d = 1.0 - 2.0 * q
-    log_lam = math.log1p(-d) - math.log1p(d) if d < 0.5 else math.log(q / (1.0 - q))
+    log_lam = _log_lam(q)
     stop = deficit_cap
     if log_lam < 0.0:
         stop = min(stop, math.ceil(53.0 * math.log(2.0) / -log_lam))

@@ -17,11 +17,16 @@ tail at q = 0.49).  For numbers they call the scalar entry points in
 ``scipy.special.cython_special``: the same kernels without the
 microsecond of array dispatch a ufunc spends on each scalar.  Given a
 numpy array of any shape, 0-d included, as any argument of the gamma
-functions or as a of the beta, they check each array's least element and
-call the ufunc once over the broadcast of the arguments.  Where no value
-is below 1e-300 they take its log in one pass; otherwise they take the
-log of the value floored at 1e-300 and run the log-space fallback only
-on the elements below the floor.  An element below the floor is
+functions or as a of the beta, they call the ufunc once over the
+broadcast of the arguments.  Where no value is below 1e-300 they take its
+log in one pass; otherwise they take the log of the value floored at
+1e-300 and run the log-space fallback only on the elements below the
+floor.  The beta function checks each array's least element before its
+ufunc.  The gamma functions check x, and the upper one s too, only once
+some value is below the floor, which every bad element's value is (scipy
+gives 0 or nan there); the lower one checks s up front, since scipy's
+P(0, x) = 1 passes the floor.  So their fast path is one ufunc, one
+reduction and one log.  An element below the floor is
 bit-identical to the scalar call at its arguments; one above it is
 within one ulp, since numpy's vectorised log (SIMD on AVX-512 hosts) and
 ``math.log`` may round the same value apart.
@@ -147,9 +152,9 @@ def _beta_cf(a, b, x):
 
 
 def _log_beta_prefactor(a, b, x):
-    # ln( x^a (1-x)^b / B(a,b) )
+    # ln( x^a (1-x)^b / B(a,b) ); both callers have checked a, b > 0
     return (
-        log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
         + a * math.log(x) + b * math.log1p(-x)
     )
 
@@ -294,10 +299,17 @@ def reg_upper_gamma_q(s: float, x: float) -> float:
 
 def log_reg_upper_gamma_q(s, x):
     """ln Q(s, x); finite for x far above s where Q underflows.  Elementwise
-    over the broadcast of s and x if either is a numpy array."""
+    over the broadcast of s and x if either is a numpy array.
+
+    On arrays the ufunc runs first, and s and x are checked only if some
+    value lies below the 1e-300 floor: scipy gives Q = 0 at s = 0 and nan
+    at s < 0, x < 0 or a nan, so every bad element fails the floor test."""
     if type(s) is _ARRAY or type(x) is _ARRAY:
+        v = special.gammaincc(s, x)
+        if v.min() >= _TINY:
+            return np.log(v)
         if _least(s) > 0.0 and _least(x) >= 0.0:
-            return _log_or_fallback(special.gammaincc(s, x), _log_upper_gamma_cf, s, x)
+            return _log_or_fallback(v, _log_upper_gamma_cf, s, x)
     elif s > 0.0 and x >= 0.0:
         v = cython_special.gammaincc(s, x)
         if v >= _TINY:
@@ -308,10 +320,19 @@ def log_reg_upper_gamma_q(s, x):
 
 def log_reg_lower_gamma_p(s, x):
     """ln P(s, x) = ln(1 - Q(s, x)); finite for x far below s.  Elementwise
-    over the broadcast of s and x if either is a numpy array."""
+    over the broadcast of s and x if either is a numpy array.
+
+    On arrays s is checked first, since scipy's P(0, x) = 1 passes the
+    floor; then the ufunc runs, and x is checked only if some value lies
+    below the 1e-300 floor: scipy gives P = 0 at x = 0 and nan at x < 0 or
+    a nan, so every bad element of x fails the floor test."""
     if type(s) is _ARRAY or type(x) is _ARRAY:
-        if _least(s) > 0.0 and _least(x) > 0.0:
-            return _log_or_fallback(special.gammainc(s, x), _log_lower_gamma_kummer, s, x)
+        if _least(s) > 0.0:
+            v = special.gammainc(s, x)
+            if v.min() >= _TINY:
+                return np.log(v)
+            if _least(x) > 0.0:
+                return _log_or_fallback(v, _log_lower_gamma_kummer, s, x)
     elif s > 0.0 and x > 0.0:
         v = cython_special.gammainc(s, x)
         if v >= _TINY:

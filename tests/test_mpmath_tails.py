@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from doublespend import asymptotics, race, specfun
@@ -78,6 +80,47 @@ def test_nakamoto_strictly_decreasing(q):
     # below 1e-300 the doubles thin out into subnormals, where neighbours can tie
     values = [race.nakamoto_probability(s, z) for z in range(1, 10_001)]
     assert all(b < a if a > 1e-300 else b <= a for a, b in zip(values, values[1:]))
+
+
+# The geometric law's gap f(x) - g(x) is p^x d of f(x), d = 1 - 2q: about
+# 1e-76 of it at x = 200 next to q = 1/2, so the sums need more digits.
+STEP_DPS = 120
+
+
+def step_mp(q, x, law):
+    """(f(x), g(x)) of confirmations_required's step inequality in mpmath:
+    f(x) = min(1, lam^x) and g(x) = E f(x + 1 - M), summed over the law of
+    M, Poisson(lam) for P_SN or P[M = m] = p q^m for P."""
+    with mp.workdps(STEP_DPS):
+        q = mp.mpf(q)
+        p = 1 - q
+        lam = q / p
+        if law == "poisson":
+            weight = mp.exp(-lam)
+            beyond = mp.gammainc(x + 2, 0, lam, regularized=True)  # P[M >= x + 2]
+        else:
+            weight = p
+            beyond = q ** (x + 2)
+        # f(x + 1 - m) is lam^(x + 1 - m) for m <= x + 1, and 1 beyond
+        terms, power = [], lam ** (x + 1)
+        for m in range(x + 2):
+            terms.append(weight * power)
+            weight *= lam / (m + 1) if law == "poisson" else q
+            power /= lam
+        return lam**x, mp.fsum(terms) + beyond
+
+
+@given(
+    q=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    x=st.integers(1, 200),
+    law=st.sampled_from(["poisson", "geometric"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_step_inequality(q, x, law):
+    # the step from z to z + 1 that makes P and P_SN strictly decrease
+    # (race.confirmations_required's docstring)
+    f, g = step_mp(q, x, law)
+    assert g < f
 
 
 def test_nakamoto_solver_crossing_at_1e_17():
@@ -368,6 +411,15 @@ def test_conditional_near_half(q, z, kappa):
     # each; they put P(10^4, 0.3) at q = 0.49999 off by 1.0e-12 relative
     got = race.conditional_probability(split(q), z, kappa)
     assert within_ulps(got, conditional_mp(q, z, kappa, LEDGER_DPS)), (q, z, kappa)
+
+
+@pytest.mark.parametrize("q, n", [(0.49999, 10**5), (0.49999, 10**6), (0.499999, 10**6)])
+def test_catchup_near_half(q, n):
+    # (q/p)^n from the rounded lam = q/p lost about 1/d ulps per unit of
+    # |ln P|, 1.4e-10 relative at q = 0.49999, n = 10^6
+    with mp.workdps(LEDGER_DPS):
+        ref = (mp.mpf(q) / (1 - mp.mpf(q))) ** n
+    assert within_ulps(race.catchup_probability(split(q), n), ref), (q, n)
 
 
 @pytest.mark.parametrize(

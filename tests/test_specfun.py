@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from doublespend import specfun
 from doublespend.specfun import (
@@ -206,8 +207,14 @@ class TestRegUpperGammaQ:
         assert log_reg_lower_gamma_p(1000, 1) == log_reg_lower_gamma_p(1000.0, 1.0) < -5900.0
         # Q(s, inf) = 0, where the continued fraction would not converge
         assert log_reg_upper_gamma_q(6.0, math.inf) == -math.inf
-        log_qs = log_reg_upper_gamma_q(np.array([6.0, 6.0]), np.array([1.0, math.inf]))
+        # on an array too; scipy's Q(1e-320, 1) is -5.8e-321, so that element
+        # goes to the continued fraction, bit for bit as the scalar call does
+        log_qs = log_reg_upper_gamma_q(np.array([6.0, 6.0, 1e-320]), np.array([1.0, math.inf, 1.0]))
         assert log_qs[1] == -math.inf
+        assert special.gammaincc(1e-320, 1.0) < 0.0
+        assert log_qs[2].hex() == log_reg_upper_gamma_q(1e-320, 1.0).hex()
+        # Q(s, 1) = s E1(1) (1 + O(s)) as s -> 0
+        assert log_qs[2] == pytest.approx(math.log(1e-320) + math.log(special.exp1(1.0)), rel=1e-15)
         assert math.exp(log_reg_upper_gamma_q(6.0, 24.0)) == pytest.approx(
             reg_upper_gamma_q(6.0, 24.0), rel=1e-12
         )
@@ -324,10 +331,17 @@ class TestLogArrays:
             (log_reg_upper_gamma_q, (np.array([6.0, -1.0]), 1.0)),
             (log_reg_upper_gamma_q, (np.array([6.0, 6.0]), np.array([1.0, -1.0]))),
             (log_reg_lower_gamma_p, (np.array([6.0, 6.0]), np.array([1.0, 0.0]))),
+            # scipy's P(0, 1) = 1 passes the 1e-300 floor, so s is checked first
+            (log_reg_lower_gamma_p, (np.array([6.0, 0.0]), np.array([1.0, 1.0]))),
+            # scipy's Q(0, 1) = 0 and a nan x fail the floor, which sends
+            # them to the checks
+            (log_reg_upper_gamma_q, (np.array([6.0, 0.0]), np.array([1.0, 1.0]))),
+            (log_reg_upper_gamma_q, (np.array([6.0, 6.0]), np.array([1.0, np.nan]))),
+            (log_reg_lower_gamma_p, (6.0, np.array([1.0, np.nan]))),
         ],
     )
     def test_rejects_bad_element(self, fn, args):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{fn.__name__} requires"):
             fn(*args)
 
 
