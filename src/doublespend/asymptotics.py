@@ -176,11 +176,13 @@ def z0_sharp(split: race.HashSplit) -> int:
 def _threshold_sums(z, kappa):
     """The left side of the kappa(z) equation, sum_j a_j / kappa^j with
     a_j = prod_{i<=j} (1 - i/z), and its moment sum_j j a_j / kappa^j, in one
-    pass that stops once the terms fall below 1e-18 of the sum."""
+    pass that stops once the terms fall below 1e-18 of the sum; on floats only."""
+    zf, kappa = float(z), float(kappa)
     term = 1.0
-    total = moment = 0.0
-    for j in range(1, z):
-        term *= (1.0 - j / z) / kappa
+    total = moment = j = 0.0
+    for _ in range(1, z):
+        j += 1.0
+        term *= (1.0 - j / zf) / kappa
         total += term
         moment += j * term
         if term < 1e-18 * total:
@@ -209,7 +211,7 @@ def kappa_threshold(split: race.HashSplit, z: int) -> float:
     _check_args(split, z, least=2)
     q, p, d = split.q, split.p, split.d
     log_target = math.log(q / d)  # lam/(1-lam)
-    kappa = max(0.5 * d / q, p / q - p * p / (q * d) / z)
+    kappa = float(max(0.5 * d / q, p / q - p * p / (q * d) / z))
     for _ in range(_KAPPA_MAX_ITER):
         total, moment = _threshold_sums(z, kappa)
         if not moment < math.inf:  # inf or nan: the sums overflowed

@@ -31,10 +31,11 @@ bit-identical to the scalar call at its arguments; one above it is
 within one ulp, since numpy's vectorised log (SIMD on AVX-512 hosts) and
 ``math.log`` may round the same value apart.
 
-The linear ``reg_inc_beta`` is still hand-rolled (a continued fraction
-with its prefactor assembled in log space): the last bits of its values
-decide tied cells of the published tables, and every scipy route tried
-moved some of them.
+The linear ``reg_inc_beta``, and so P(z), stays a hand-rolled continued
+fraction (its prefactor assembled in log space) until scipy's ``betaincc``
+can replace it: the last bits of its values decide tied cells of the
+published tables, and every scipy route tried moved some of them.  So a
+rewrite of the hand-rolled loops keeps each IEEE operation in its order.
 """
 
 import math
@@ -112,38 +113,47 @@ def _beta_cf(a, b, x):
     Converges fast for x < (a+1)/(a+b+2); the caller is responsible for
     picking the branch.  Returns the continued-fraction factor, i.e.
     I_x(a,b) * a / (x^a (1-x)^b / B(a,b)).
+
+    P(z) is this loop until ``betaincc`` replaces it; tied table cells hang
+    on its last bits, so a rewrite keeps every IEEE operation in order.  It
+    runs on floats only, its counter m included: no operation converts an int.
     """
+    a, b, x = float(a), float(b), float(x)
+    # read at call time, so a patched cap or floor takes effect
+    tiny, rel_eps = _TINY, _REL_EPS
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
+    if abs(d) < tiny:
+        d = tiny
     d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    h, m = d, 0.0
+    for _ in range(_MAX_ITER):
+        m += 1.0
+        m2 = m + m
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
+        if abs(d) < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
+        if abs(c) < tiny:
+            c = tiny
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
+        if abs(d) < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
+        if abs(c) < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _REL_EPS:
+        if abs(delta - 1.0) < rel_eps:
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge "
@@ -173,6 +183,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
+    x, a, b = float(x), float(a), float(b)  # a numpy a would give np.float64
     if x < (a + 1.0) / (a + b + 2.0):
         v = math.exp(_log_beta_prefactor(a, b, x)) * _beta_cf(a, b, x) / a
         return _clamp01(v)
@@ -196,7 +207,8 @@ def log_reg_inc_beta(x: float, a, b: float):
         raise ValueError(f"log_reg_inc_beta requires 0 < x <= 1, got x={x}")
     if array:
         return _log_or_fallback(special.betainc(a, b, x), _log_beta_cf, x, a, b)
-    v = cython_special.betainc(float(a), float(b), float(x))
+    x, a, b = float(x), float(a), float(b)
+    v = cython_special.betainc(a, b, x)
     if v >= _TINY:
         return math.log(v)
     return _log_beta_cf(x, a, b)
@@ -254,26 +266,30 @@ def _log_lower_gamma_kummer(s, x):
 
 
 def _log_upper_gamma_cf(s, x):
-    """ln Q(s, x) by the continued fraction; fast where Q is tiny (x well above s)."""
+    """ln Q(s, x) by the continued fraction; fast where Q is tiny (x well above
+    s).  Like _beta_cf, it runs on floats only."""
+    s, x = float(s), float(x)
     if x == math.inf:
         return -math.inf
+    tiny, rel_eps = _TINY, _REL_EPS
     b = x + 1.0 - s
-    c = 1.0 / _TINY
+    c = 1.0 / tiny
     d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
+    h, i = d, 0.0
+    for _ in range(_MAX_ITER):
+        i += 1.0
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
+        if abs(d) < tiny:
+            d = tiny
         c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
+        if abs(c) < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _REL_EPS:
+        if abs(delta - 1.0) < rel_eps:
             return _log_gamma_prefactor(s, x) + math.log(h)
     raise ConvergenceError(
         f"upper incomplete gamma continued fraction did not converge "

@@ -2,9 +2,10 @@
 finite-sum P(z) oracles that the tests check the closed form and the
 tables against (one in exact rationals, one in floating point), the
 doubling search that the confirmation solver is checked against, the
-plain bisection that the z0 table's boundaries are checked against, and
-the simulated histogram of the attacker's block count that negbin_pmf is
-checked against."""
+plain bisection that the z0 table's boundaries are checked against, the
+simulated histogram of the attacker's block count that negbin_pmf is
+checked against, and the integer-counter forms of the three hand-rolled
+recurrences that the float-counter ones are pinned to bit for bit."""
 
 import math
 from fractions import Fraction
@@ -200,3 +201,84 @@ def estimate_negbin(split: HashSplit, config: SimConfig) -> np.ndarray:
             counts = np.pad(counts, (0, part.size - counts.size))
         counts[: part.size] += part
     return counts
+
+
+# The three hand-rolled recurrences as they were with an integer counter
+# mixed into the float arithmetic.  The float-counter forms in specfun and
+# asymptotics keep every IEEE operation and its order, so their values
+# must match these bit for bit.
+
+
+def beta_cf_int_counter(a, b, x):
+    """specfun._beta_cf with an integer counter m."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < specfun._TINY:
+        d = specfun._TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, specfun._MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < specfun._TINY:
+            d = specfun._TINY
+        c = 1.0 + aa / c
+        if abs(c) < specfun._TINY:
+            c = specfun._TINY
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < specfun._TINY:
+            d = specfun._TINY
+        c = 1.0 + aa / c
+        if abs(c) < specfun._TINY:
+            c = specfun._TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < specfun._REL_EPS:
+            return h
+    raise specfun.ConvergenceError("incomplete beta continued fraction did not converge")
+
+
+def log_upper_gamma_cf_int_counter(s, x):
+    """specfun._log_upper_gamma_cf with an integer counter i."""
+    if x == math.inf:
+        return -math.inf
+    b = x + 1.0 - s
+    c = 1.0 / specfun._TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, specfun._MAX_ITER + 1):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < specfun._TINY:
+            d = specfun._TINY
+        c = b + an / c
+        if abs(c) < specfun._TINY:
+            c = specfun._TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < specfun._REL_EPS:
+            return specfun._log_gamma_prefactor(s, x) + math.log(h)
+    raise specfun.ConvergenceError("upper incomplete gamma continued fraction did not converge")
+
+
+def threshold_sums_int_counter(z, kappa):
+    """asymptotics._threshold_sums with an integer counter j."""
+    term = 1.0
+    total = moment = 0.0
+    for j in range(1, z):
+        term *= (1.0 - j / z) / kappa
+        total += term
+        moment += j * term
+        if term < 1e-18 * total:
+            break
+    return total, moment

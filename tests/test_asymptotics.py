@@ -25,7 +25,7 @@ from doublespend.asymptotics import (
 )
 from doublespend.race import HashSplit, attacker_success_closed, nakamoto_probability
 
-from reference_tables import SWEEP_QS, SWEEP_ZS
+from reference_tables import SWEEP_QS, SWEEP_ZS, threshold_sums_int_counter
 
 
 def split(q):
@@ -545,6 +545,22 @@ class TestKappaThreshold:
         kappa = kappa_threshold(split(0.4999), 1000)
         total, _ = asymptotics._threshold_sums(1000, kappa)
         assert total == pytest.approx(0.4999 / (1.0 - 2 * 0.4999), rel=1e-11)
+
+    def test_sums_keep_the_int_counter_bits(self):
+        rng = np.random.default_rng(2017)
+        zs = np.unique(np.round(np.logspace(np.log10(2), 5, 60)).astype(int))
+        for z in zs.tolist():
+            kappa = float(rng.uniform(0.05, 20.0))
+            old = threshold_sums_int_counter(z, kappa)
+            new = asymptotics._threshold_sums(z, kappa)
+            assert [v.hex() for v in new] == [v.hex() for v in old], (z, kappa)
+
+    def test_numpy_integer_z_gives_the_float_of_the_int_call(self):
+        s = split(0.3)
+        for z in (2, 500):
+            kappa = kappa_threshold(s, np.int64(z))
+            assert type(kappa) is float
+            assert kappa.hex() == kappa_threshold(s, z).hex()
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -101,6 +101,15 @@ class TestArgumentValidation:
         s = split(0.1)
         assert attacker_success_closed(s, np.int64(6)) == attacker_success_closed(s, 6)
 
+    def test_numpy_integer_z_gives_the_float_of_the_int_call(self):
+        # a numpy z used to run the continued fraction on numpy scalars,
+        # about 5x slower, and to return np.float64
+        s = split(0.3)
+        for z in (1, 6, 60, 600):
+            value = attacker_success_closed(s, np.int64(z))
+            assert type(value) is float
+            assert value.hex() == attacker_success_closed(s, z).hex()
+
 
 class TestCatchupProbability:
     def test_zero_deficit(self):

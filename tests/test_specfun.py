@@ -1,6 +1,8 @@
 """Special-function kernel tests: identities, oracles, and stability."""
 
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import reference_tables
 from doublespend import specfun
 from doublespend.specfun import (
     ConvergenceError,
@@ -146,6 +149,66 @@ class TestRegIncBeta:
         # s^z alone is ~1e-444 here; the log path must survive
         log_v = log_reg_inc_beta(0.36, 1000, 0.5)
         assert -1030.0 < log_v < -1010.0
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # both points need more than 3 iterations of the continued fraction
+        # (8 and 5); the cap is read when the loop starts
+        assert -950.0 < log_reg_inc_beta(0.35, 10000, 10000.0) < -945.0
+        monkeypatch.setattr(specfun, "_MAX_ITER", 3)
+        message = (
+            "incomplete beta continued fraction did not converge "
+            "(a=30.0, b=0.5, x=0.64, max_iter=3)"
+        )
+        with pytest.raises(ConvergenceError, match=re.escape(message)):
+            reg_inc_beta(0.64, 30.0, 0.5)
+        # I_0.35(10^4, 10^4) is below 1e-300, so the log takes the fraction too
+        with pytest.raises(ConvergenceError, match="max_iter=3"):
+            log_reg_inc_beta(0.35, 10000, 10000.0)
+
+
+class TestFloatCounterLoops:
+    """The continued fractions run on float counters; every value must keep
+    the bits the integer-counter loops gave, since the last bits decide
+    tied cells of the published tables."""
+
+    def test_beta_cf_on_the_closed_form_grid(self):
+        # P(z) = I_s(z, 1/2), s = 4pq, on the branch reg_inc_beta takes
+        branches = set()
+        for k in range(24):
+            q = 0.4999999 * 10.0 ** (-6.0 * (23 - k) / 23)
+            s = 4.0 * q * (1.0 - q)
+            for z in sorted({round(10.0 ** (6.3 * j / 23)) for j in range(24)}):
+                direct = s < (z + 1.0) / (z + 2.5)
+                branches.add(direct)
+                args = (z, 0.5, s) if direct else (0.5, z, 1.0 - s)
+                old = reference_tables.beta_cf_int_counter(*args)
+                assert specfun._beta_cf(*args).hex() == old.hex(), (q, z)
+        assert branches == {True, False}
+
+    def test_beta_cf_on_general_arguments(self):
+        rng = random.Random(2017)
+        for _ in range(1000):
+            # a and b in (0, 1000], a sometimes an integer
+            a = 1000.0 * (1.0 - rng.random())
+            if rng.random() < 0.3:
+                a = float(rng.randint(1, 1000))
+            b = 1000.0 * (1.0 - rng.random())
+            x = rng.random()
+            if x >= (a + 1.0) / (a + b + 2.0):
+                a, b, x = b, a, 1.0 - x
+            old = reference_tables.beta_cf_int_counter(a, b, x)
+            assert specfun._beta_cf(a, b, x).hex() == old.hex(), (a, b, x)
+
+    def test_upper_gamma_cf_at_int_and_float_s(self):
+        # s up to 10^5, where ln Q is dominated by its prefactor, and s below
+        # 50, where ln Q is small enough that the last bits of h show in it
+        rng = random.Random(2008)
+        for k in range(600):
+            top = 100000 if k % 2 else 50
+            s = rng.randint(1, top) if rng.random() < 0.5 else top * rng.random() + 1e-3
+            x = s * rng.uniform(1.2, 10.0) + rng.uniform(1.0, 50.0)
+            old = reference_tables.log_upper_gamma_cf_int_counter(s, x)
+            assert specfun._log_upper_gamma_cf(s, x).hex() == old.hex(), (s, x)
 
 
 class TestRegUpperGammaQ:
