@@ -48,12 +48,12 @@ class RegimeLabel(enum.Enum):
 
 
 def _check_args(split, z=None, least=1):
-    """Reject q = 1/2, where every formula here degenerates, and a z that is
-    not an integer >= least (z is None for the functions that take none)."""
+    """z as an int; reject q = 1/2, where every formula here degenerates, and
+    a z that is not an integer >= least (z is None for the functions that take none)."""
     if split.q >= 0.5:
         raise ValueError(f"asymptotics require q < 0.5, got q={split.q}")
     if z is not None:
-        race._check_count("z", z, least)
+        return race._check_count("z", z, least)
 
 
 def c_function(x: float) -> float:
@@ -65,7 +65,7 @@ def c_function(x: float) -> float:
 def p_asymptotic(split: race.HashSplit, z: int) -> float:
     """Leading-order exact probability, s^z / sqrt(pi (1-s) z); 1 - s = d^2, and
     ln s = log1p(-d^2) where s >= 1/2, so neither cancels near q = 1/2."""
-    _check_args(split, z)
+    z = _check_args(split, z)
     d2 = split.d**2
     log_s = math.log1p(-d2) if d2 <= 0.5 else math.log(split.s)
     return math.exp(z * log_s - 0.5 * math.log(math.pi * d2 * z))
@@ -73,7 +73,7 @@ def p_asymptotic(split: race.HashSplit, z: int) -> float:
 
 def psn_asymptotic(split: race.HashSplit, z: int) -> float:
     """Leading-order Nakamoto probability, e^{-z c(q/p)} / 2."""
-    _check_args(split, z)
+    z = _check_args(split, z)
     return 0.5 * math.exp(-z * race._c_lam(split))
 
 
@@ -84,7 +84,7 @@ def conditional_asymptotic(split: race.HashSplit, z: int, kappa: float):
     At kappa = p/q the value is 1/2 + (1/3 + q/(p-q)) / sqrt(2 pi z),
     the limit that (P(z, p/q) - 1/2) sqrt(2 pi z) tends to.
     """
-    _check_args(split, z)
+    z = _check_args(split, z)
     race._check_positive("kappa", kappa)
     lam, gap = split.lam, race._one_minus_lam(split)
     ratio = 1.0 / lam  # p/q
@@ -117,7 +117,7 @@ def p_bounds(split: race.HashSplit, z: int):
 def psn_upper_bound(split: race.HashSplit, z: int) -> float:
     """Strict upper bound for the Nakamoto probability,
     (1/(1-q/p)) e^{-z c(q/p)} / sqrt(2 pi z) + e^{-z c(q/p)} / 2."""
-    _check_args(split, z)
+    z = _check_args(split, z)
     decay = math.exp(-z * race._c_lam(split))
     return decay / (race._one_minus_lam(split) * math.sqrt(2.0 * math.pi * z)) + 0.5 * decay
 
@@ -208,10 +208,10 @@ def kappa_threshold(split: race.HashSplit, z: int) -> float:
     most 1e-14, after 2.9 evaluations of the sums on average over q in
     [0.05, 0.45] and z in [2, 2000].
     """
-    _check_args(split, z, least=2)
+    z = _check_args(split, z, least=2)
     q, p, d = split.q, split.p, split.d
     log_target = math.log(q / d)  # lam/(1-lam)
-    kappa = float(max(0.5 * d / q, p / q - p * p / (q * d) / z))
+    kappa = max(0.5 * d / q, p / q - p * p / (q * d) / z)
     for _ in range(_KAPPA_MAX_ITER):
         total, moment = _threshold_sums(z, kappa)
         if not moment < math.inf:  # inf or nan: the sums overflowed

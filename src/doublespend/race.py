@@ -17,6 +17,7 @@ Conventions used throughout:
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -64,11 +65,15 @@ def _check_share(q):
 
 
 def _check_count(name, n, least):
-    """Reject a count that is not an integer (bools included) or is below ``least``."""
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
+    """n as an int, so no numpy integer reaches the arithmetic; reject a count
+    that is not an integer (bools included) or is below ``least``."""
+    if type(n) is not int:
+        if isinstance(n, bool) or not hasattr(n, "__index__"):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+        n = operator.index(n)
     if n < least:
         raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 def _check_positive(name, x):
@@ -153,10 +158,14 @@ def _logaddexp(a, b):
 
 
 def _log_lam(q):
-    """ln(q/p) for a number q.  With d = 1 - 2q it is log1p(-d) - log1p(d)
-    where d < 1/2, so near q = 1/2 it does not come from the rounded q/p;
-    elsewhere log(q/p), since log1p(-d) fails where d rounds to 1."""
+    """ln(q/p), elementwise if q is a numpy array.  With d = 1 - 2q it is
+    log1p(-d) - log1p(d) where d < 1/2, so near q = 1/2 it does not come from
+    the rounded q/p; elsewhere log(q/p), since log1p(-d) fails where d rounds to 1."""
     d = 1.0 - 2.0 * q
+    if isinstance(q, np.ndarray):
+        # capped, so that no cell takes log1p(-1), not even one np.where drops
+        capped = np.minimum(d, 0.5)
+        return np.where(d < 0.5, np.log1p(-capped) - np.log1p(capped), np.log(q / (1.0 - q)))
     if d < 0.5:
         return math.log1p(-d) - math.log1p(d)
     return math.log(q / (1.0 - q))
@@ -164,7 +173,7 @@ def _log_lam(q):
 
 def catchup_probability(split: HashSplit, n: int) -> float:
     """Probability (q/p)^n that an attacker n blocks behind ever leads."""
-    _check_count("n", n, 0)
+    n = _check_count("n", n, 0)
     if n == 0 or split.q == 0.5:
         return 1.0
     return math.exp(n * _log_lam(split.q))
@@ -173,8 +182,8 @@ def catchup_probability(split: HashSplit, n: int) -> float:
 def negbin_pmf(split: HashSplit, n: int, k: int) -> float:
     """P[attacker mined k blocks while honest miners mined their n-th],
     the negative binomial pmf p^n q^k C(k+n-1, k)."""
-    _check_count("n", n, 1)
-    _check_count("k", k, 0)
+    n = _check_count("n", n, 1)
+    k = _check_count("k", k, 0)
     return math.exp(
         n * math.log(split.p)
         + k * math.log(split.q)
@@ -184,7 +193,7 @@ def negbin_pmf(split: HashSplit, n: int, k: int) -> float:
 
 def attacker_success_closed(split: HashSplit, z: int) -> float:
     """Exact success probability in closed form, I_s(z, 1/2) with s=4pq."""
-    _check_count("z", z, 0)
+    z = _check_count("z", z, 0)
     if z == 0:
         return 1.0
     return specfun.reg_inc_beta(split.s, z, 0.5)
@@ -199,7 +208,7 @@ def nakamoto_probability(split: HashSplit, z: int) -> float:
     """Nakamoto's approximation: the attacker block count over the whole
     race is taken Poisson with mean z q/p instead of negative binomial.
     This is the conditional probability on schedule, P(z, kappa=1)."""
-    _check_count("z", z, 0)
+    z = _check_count("z", z, 0)
     if z == 0:
         return 1.0
     return conditional_probability(split, z, 1.0)
@@ -221,12 +230,7 @@ def _log_conditional(q, z, kappa):
     """
     p, d = 1.0 - q, 1.0 - 2.0 * q
     lam = q / p
-    if isinstance(q, np.ndarray):
-        # capped, so that no cell takes log1p(-1), not even one np.where drops
-        capped = np.minimum(d, 0.5)
-        log_lam = np.where(d < 0.5, np.log1p(-capped) - np.log1p(capped), np.log(lam))
-    else:
-        log_lam = _log_lam(q)
+    log_lam = _log_lam(q)
     x = kappa * z
     growth = x * (d / p)
     # x (1 - lam) is inf only where kappa z overflows; Q(z, x) = 0 there, and
@@ -251,7 +255,7 @@ def conditional_probability(split: HashSplit, z: int, kappa: float) -> float:
         P(z, kappa) = 1 - Q(z, kappa z q/p)
                       + (q/p)^z e^{kappa z (p-q)/p} Q(z, kappa z)
     """
-    _check_count("z", z, 1)
+    z = _check_count("z", z, 1)
     _check_positive("kappa", kappa)
     if split.q == 0.5:
         return 1.0
@@ -294,7 +298,7 @@ def _log_kappa_density(z, kappa):
 
 def kappa_density(z: int, kappa: float) -> float:
     """Density of the observed deviation factor: Gamma(z, z) at kappa."""
-    _check_count("z", z, 1)
+    z = _check_count("z", z, 1)
     _check_positive("kappa", kappa)
     return math.exp(_log_kappa_density(z, kappa))
 
@@ -304,7 +308,7 @@ def deviation_tail(z: int, kappa: float) -> float:
 
     Depends only on z and kappa, not on the hash split.
     """
-    _check_count("z", z, 1)
+    z = _check_count("z", z, 1)
     _check_positive("kappa", kappa)
     return specfun.reg_upper_gamma_q(z, kappa * z)
 
@@ -354,6 +358,11 @@ def _bound_peak(z, lam, log_lam):
     C = z - 1.  h is concave, so it peaks in the first piece whose
     C / (-B) lies below the piece's right end, at C / (-B) or at the
     piece's left end, whichever is larger.
+
+    For z >= 2 that is never the first piece (lam = e^-t).  At kappa_c <= 1 it
+    would need (z - 1)(e^t - 1) < z t - ln 2, so t > ln 2, but the left side is
+    the larger at t = ln 2 and rises faster.  kappa_c > 1 means z c(lam) > ln 2,
+    yet (z - 1)/(z lam) < 1 means lam > 1 - 1/z, where z c(lam) <= 1/(2(z - 1)) <= 1/2.
     """
     if z == 1:
         return 1e-9  # g is within 1e-9 of its supremum, ln lam, there
@@ -371,14 +380,10 @@ def _bound_peak(z, lam, log_lam):
             if step <= 1e-12:
                 break
         cap = x / lam
-    below_one = (z - 1.0) / (z * lam)
     above_one = (2.0 * z - 1.0) / (z * (1.0 + lam))
-    capped = (z - 1.0) / z
-    if below_one < min(1.0, cap):
-        return below_one
     if 1.0 < cap and above_one < cap:
         return max(above_one, 1.0)
-    return max(capped, cap)
+    return max((z - 1.0) / z, cap)
 
 
 def _bound_edge(z, lam, log_lam, level, kappa, right):
@@ -436,7 +441,7 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
     z = 10^6 that is off by up to 1.7e-7 (q = 0.498, kappa = 1.002), and
     the result for q in [0.495, 0.499] by 2e-10 to 1e-6.
     """
-    _check_count("z", z, 1)
+    z = _check_count("z", z, 1)
     if split.q == 0.5:
         return 1.0
     lam, log_lam = split.lam, math.log(split.lam)
@@ -464,7 +469,7 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
 
 def kappa_from_times(net: NetworkParams, split: HashSplit, z: int, tau1: float) -> float:
     """Deviation factor from the observed time: kappa = p tau1 / (z tau0)."""
-    _check_count("z", z, 1)
+    z = _check_count("z", z, 1)
     _check_positive("tau1", tau1)
     return split.p * tau1 / (z * net.tau0)
 

@@ -22,14 +22,14 @@ broadcast of the arguments.  Where no value is below 1e-300 they take its
 log in one pass; otherwise they take the log of the value floored at
 1e-300 and run the log-space fallback only on the elements below the
 floor.  The beta function checks each array's least element before its
-ufunc.  The gamma functions check x, and the upper one s too, only once
-some value is below the floor, which every bad element's value is (scipy
-gives 0 or nan there); the lower one checks s up front, since scipy's
-P(0, x) = 1 passes the floor.  So their fast path is one ufunc, one
-reduction and one log.  An element below the floor is
-bit-identical to the scalar call at its arguments; one above it is
-within one ulp, since numpy's vectorised log (SIMD on AVX-512 hosts) and
-``math.log`` may round the same value apart.
+ufunc.  The two gamma functions are one implementation with one domain,
+s > 0 and x >= 0, where ln P(s, 0) = ln Q(s, inf) = -inf, and one check
+order: s before scipy, since its P(0, x) = 1 passes the floor, and x only
+once some value is below the floor, as scipy's nan at every bad x is.  So
+their fast path is one scipy call, one reduction and one log.  An element
+below the floor is bit-identical to the scalar call at its arguments; one
+above it is within one ulp, since numpy's vectorised log (SIMD on
+AVX-512 hosts) and ``math.log`` may round the same value apart.
 
 The linear ``reg_inc_beta``, and so P(z), stays a hand-rolled continued
 fraction (its prefactor assembled in log space) until scipy's ``betaincc``
@@ -261,6 +261,8 @@ def _log_gamma_prefactor(s, x):
 
 def _log_lower_gamma_kummer(s, x):
     """ln P(s, x) by Kummer's function, P(s, x) = x^s e^{-x} M(1, s + 1, x) / Gamma(s + 1)."""
+    if x == 0.0:
+        return -math.inf
     m = cython_special.hyp1f1(1.0, s + 1.0, float(x))
     return _log_gamma_prefactor(s, x) - math.log(s) + math.log(m)
 
@@ -313,45 +315,37 @@ def reg_upper_gamma_q(s: float, x: float) -> float:
     return cython_special.gammaincc(s, x)
 
 
-def log_reg_upper_gamma_q(s, x):
+def _log_gamma_tail(name, ufunc, scalar, fallback, doc):
+    """A log tail of the incomplete gamma: ln ``ufunc`` (``scalar`` for numbers), by
+    ``fallback`` below the floor; built once per tail, so a call is one frame."""
+
+    def log_tail(s, x):
+        if type(s) is _ARRAY or type(x) is _ARRAY:
+            if _least(s) > 0.0:
+                v = ufunc(s, x)
+                if v.min() >= _TINY:
+                    return np.log(v)
+                if _least(x) >= 0.0:
+                    return _log_or_fallback(v, fallback, s, x)
+        elif s > 0.0:
+            v = scalar(s, x)
+            if v >= _TINY:
+                return math.log(v)
+            if x >= 0.0:
+                return fallback(s, x)
+        raise ValueError(f"{name} requires s > 0 and x >= 0, got s={s}, x={x}")
+
+    log_tail.__name__ = log_tail.__qualname__ = name
+    log_tail.__doc__ = doc
+    return log_tail
+
+
+log_reg_upper_gamma_q = _log_gamma_tail(
+    "log_reg_upper_gamma_q", special.gammaincc, cython_special.gammaincc, _log_upper_gamma_cf,
     """ln Q(s, x); finite for x far above s where Q underflows.  Elementwise
-    over the broadcast of s and x if either is a numpy array.
+    over the broadcast of s and x if either is a numpy array.""")
 
-    On arrays the ufunc runs first, and s and x are checked only if some
-    value lies below the 1e-300 floor: scipy gives Q = 0 at s = 0 and nan
-    at s < 0, x < 0 or a nan, so every bad element fails the floor test."""
-    if type(s) is _ARRAY or type(x) is _ARRAY:
-        v = special.gammaincc(s, x)
-        if v.min() >= _TINY:
-            return np.log(v)
-        if _least(s) > 0.0 and _least(x) >= 0.0:
-            return _log_or_fallback(v, _log_upper_gamma_cf, s, x)
-    elif s > 0.0 and x >= 0.0:
-        v = cython_special.gammaincc(s, x)
-        if v >= _TINY:
-            return math.log(v)
-        return _log_upper_gamma_cf(s, x)
-    raise ValueError(f"log_reg_upper_gamma_q requires s > 0 and x >= 0, got s={s}, x={x}")
-
-
-def log_reg_lower_gamma_p(s, x):
+log_reg_lower_gamma_p = _log_gamma_tail(
+    "log_reg_lower_gamma_p", special.gammainc, cython_special.gammainc, _log_lower_gamma_kummer,
     """ln P(s, x) = ln(1 - Q(s, x)); finite for x far below s.  Elementwise
-    over the broadcast of s and x if either is a numpy array.
-
-    On arrays s is checked first, since scipy's P(0, x) = 1 passes the
-    floor; then the ufunc runs, and x is checked only if some value lies
-    below the 1e-300 floor: scipy gives P = 0 at x = 0 and nan at x < 0 or
-    a nan, so every bad element of x fails the floor test."""
-    if type(s) is _ARRAY or type(x) is _ARRAY:
-        if _least(s) > 0.0:
-            v = special.gammainc(s, x)
-            if v.min() >= _TINY:
-                return np.log(v)
-            if _least(x) > 0.0:
-                return _log_or_fallback(v, _log_lower_gamma_kummer, s, x)
-    elif s > 0.0 and x > 0.0:
-        v = cython_special.gammainc(s, x)
-        if v >= _TINY:
-            return math.log(v)
-        return _log_lower_gamma_kummer(s, x)
-    raise ValueError(f"log_reg_lower_gamma_p requires s > 0 and x > 0, got s={s}, x={x}")
+    over the broadcast of s and x if either is a numpy array.""")

@@ -557,10 +557,11 @@ class TestKappaThreshold:
 
     def test_numpy_integer_z_gives_the_float_of_the_int_call(self):
         s = split(0.3)
-        for z in (2, 500):
-            kappa = kappa_threshold(s, np.int64(z))
-            assert type(kappa) is float
-            assert kappa.hex() == kappa_threshold(s, z).hex()
+        for fn in (kappa_threshold, asymptotics.p_asymptotic, asymptotics.psn_asymptotic):
+            for z in (2, 500):
+                value = fn(s, np.int64(z))
+                assert type(value) is float
+                assert value.hex() == fn(s, z).hex(), (fn, z)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -135,6 +135,12 @@ class TestConditional:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_kappa_where_kappa_z_lam_underflows(self, capsys):
+        # kappa z q/p underflows to 0, where ln P(z, 0) used to be rejected
+        # and the command exited 2
+        assert main(["conditional", "--q", "0.1", "--z", "1", "--kappa", "5e-324"]) == 0
+        assert "0.1111111 (11.11%)" in capsys.readouterr().out
+
     def test_published_high_kappa_cell(self, capsys):
         assert main(["conditional", "--q", "0.26", "--z", "6", "--kappa", "3.5"]) == 0
         assert "(79.66%)" in capsys.readouterr().out
@@ -298,11 +304,14 @@ class TestTable:
              "error: grid would have 3900000001 points, more than the 1000000 allowed\n"),
             (["table", "--which", "custom", "--z-max", "10000000000"],
              "error: grid would have 10000000000 points, more than the 1000000 allowed\n"),
+            (["curve", "--q", "0.7", "--z", "6"],
+             "error: attacker share q must satisfy 0 < q <= 0.5, got q=0.7\n"),
         ],
-        ids=["curve_kappa_step", "custom_z_max"],
+        ids=["curve_kappa_step", "custom_z_max", "curve_q_above_half"],
     )
     def test_rejects_grid_past_the_cap(self, tmp_path, capsys, argv, err):
-        # rejected before a point is built; uncapped, these grids exhaust memory
+        # rejected before a point is built; uncapped, the first two grids
+        # exhaust memory
         out = tmp_path / "g.csv"
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == err

@@ -413,6 +413,22 @@ def test_conditional_near_half(q, z, kappa):
     assert within_ulps(got, conditional_mp(q, z, kappa, LEDGER_DPS)), (q, z, kappa)
 
 
+@pytest.mark.parametrize("q, kappa", [(1e-300, 1e-30), (0.1, 5e-324)])
+def test_conditional_where_kappa_z_lam_underflows(q, kappa):
+    # kappa z lam underflows to 0 here, where ln P(z, 0) used to be rejected;
+    # P(1, kappa) tends to lam as kappa -> 0
+    ref = conditional_mp(q, 1, kappa, LEDGER_DPS)
+    assert kappa * q / (1.0 - q) == 0.0
+    assert within_ulps(race.conditional_probability(split(q), 1, kappa), ref)
+
+
+def test_conditional_over_kappa_where_kappa_z_lam_underflows():
+    kappas = [1e-300, 5e-324]
+    got = race._conditional_over_kappa(0.1, 1, kappas)
+    for value, kappa in zip(got.tolist(), kappas):
+        assert within_ulps(value, conditional_mp(0.1, 1, kappa, LEDGER_DPS)), kappa
+
+
 @pytest.mark.parametrize("q, n", [(0.49999, 10**5), (0.49999, 10**6), (0.499999, 10**6)])
 def test_catchup_near_half(q, n):
     # (q/p)^n from the rounded lam = q/p lost about 1/d ulps per unit of

@@ -102,13 +102,35 @@ class TestArgumentValidation:
         assert attacker_success_closed(s, np.int64(6)) == attacker_success_closed(s, 6)
 
     def test_numpy_integer_z_gives_the_float_of_the_int_call(self):
-        # a numpy z used to run the continued fraction on numpy scalars,
-        # about 5x slower, and to return np.float64
+        # a numpy z used to run the continued fraction, and P(z, kappa), on
+        # numpy scalars, several times slower, and to return np.float64
         s = split(0.3)
-        for z in (1, 6, 60, 600):
-            value = attacker_success_closed(s, np.int64(z))
-            assert type(value) is float
-            assert value.hex() == attacker_success_closed(s, z).hex()
+        calls = [
+            attacker_success_closed,
+            nakamoto_probability,
+            catchup_probability,
+            lambda s, z: conditional_probability(s, z, 1.3),
+            lambda s, z: kappa_density(z, 1.3),
+            lambda s, z: deviation_tail(z, 1.3),
+        ]
+        for fn in calls:
+            for z in (1, 6, 60, 600):
+                value = fn(s, np.int64(z))
+                assert type(value) is float
+                assert value.hex() == fn(s, z).hex(), (fn, z)
+
+    def test_numpy_integer_z_reaches_the_kernels_as_an_int(self, monkeypatch):
+        seen = []
+
+        def spy(q, z, kappa):
+            seen.append(type(z))
+            return log_conditional(q, z, kappa)
+
+        log_conditional = race._log_conditional
+        monkeypatch.setattr(race, "_log_conditional", spy)
+        nakamoto_probability(split(0.3), np.int64(6))
+        conditional_probability(split(0.3), np.uint8(6), 1.3)
+        assert seen == [int, int]
 
 
 class TestCatchupProbability:

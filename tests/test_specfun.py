@@ -268,8 +268,14 @@ class TestRegUpperGammaQ:
         assert -680.0 < log_q < -670.0
         # integer arguments reach the log-space paths too
         assert log_reg_lower_gamma_p(1000, 1) == log_reg_lower_gamma_p(1000.0, 1.0) < -5900.0
-        # Q(s, inf) = 0, where the continued fraction would not converge
+        # Q(s, inf) = 0, where the continued fraction would not converge,
+        # and P(s, 0) = 0, where the prefactor would take ln 0
         assert log_reg_upper_gamma_q(6.0, math.inf) == -math.inf
+        for s in (1, 6.0, 1e-320):
+            assert log_reg_lower_gamma_p(s, 0.0) == -math.inf
+        log_ps = log_reg_lower_gamma_p(np.array([6.0, 6.0, 1e-320]), np.array([1.0, 0.0, 0.0]))
+        assert log_ps[1] == log_ps[2] == -math.inf
+        assert log_ps[0] == pytest.approx(math.log(special.gammainc(6.0, 1.0)), rel=1e-15)
         # on an array too; scipy's Q(1e-320, 1) is -5.8e-321, so that element
         # goes to the continued fraction, bit for bit as the scalar call does
         log_qs = log_reg_upper_gamma_q(np.array([6.0, 6.0, 1e-320]), np.array([1.0, math.inf, 1.0]))
@@ -393,14 +399,16 @@ class TestLogArrays:
             (log_reg_inc_beta, (0.36, np.array([6.0, np.nan]), 0.5)),
             (log_reg_upper_gamma_q, (np.array([6.0, -1.0]), 1.0)),
             (log_reg_upper_gamma_q, (np.array([6.0, 6.0]), np.array([1.0, -1.0]))),
-            (log_reg_lower_gamma_p, (np.array([6.0, 6.0]), np.array([1.0, 0.0]))),
+            (log_reg_lower_gamma_p, (np.array([6.0, 6.0]), np.array([1.0, -1.0]))),
             # scipy's P(0, 1) = 1 passes the 1e-300 floor, so s is checked first
             (log_reg_lower_gamma_p, (np.array([6.0, 0.0]), np.array([1.0, 1.0]))),
-            # scipy's Q(0, 1) = 0 and a nan x fail the floor, which sends
-            # them to the checks
             (log_reg_upper_gamma_q, (np.array([6.0, 0.0]), np.array([1.0, 1.0]))),
+            # scipy's nan at a bad x fails the floor, which sends it to the check
             (log_reg_upper_gamma_q, (np.array([6.0, 6.0]), np.array([1.0, np.nan]))),
             (log_reg_lower_gamma_p, (6.0, np.array([1.0, np.nan]))),
+            # x outside (0, 1]
+            (log_reg_inc_beta, (0.0, np.array([6.0, 1.0]), 0.5)),
+            (log_reg_inc_beta, (1.5, 6.0, 0.5)),
         ],
     )
     def test_rejects_bad_element(self, fn, args):
