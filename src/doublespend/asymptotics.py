@@ -9,8 +9,6 @@ approximations and an out-of-range value is diagnostic, not a bug.
 import enum
 import math
 
-import numpy as np
-
 from . import race, specfun
 
 __all__ = [
@@ -28,10 +26,8 @@ __all__ = [
 
 # kappa this close to a removable singularity is treated as sitting on it
 _REGIME_TOL = 1e-9
-# z0_sharp accepts a rank once this many consecutive ranks from it are good;
-# its blocks of ranks double up to _Z0_BLOCK ranks, which bounds its memory
+# z0_sharp accepts a rank once this many consecutive ranks from it are good
 _Z0_WINDOW = 200
-_Z0_BLOCK = 2**18
 # kappa_threshold gives up after this many Newton steps and kappa doublings
 _KAPPA_MAX_ITER = 400
 
@@ -147,29 +143,28 @@ def z0_sharp(split: race.HashSplit) -> int:
     exact one for every rank in [z, z + _Z0_WINDOW - 1].
 
     Ranks from z0_sufficient on are proven good by the decay-rate
-    inequality log(1/s) < c(q/p) and are not evaluated; below it ranks are
-    tested by _bad_rank over a block at once, and while no run of _Z0_WINDOW
-    good ranks has closed, the next block doubles the ranks covered, up to
-    _Z0_BLOCK ranks a block.  The cap keeps the memory bounded near q = 1/2,
-    where z0 grows like (1 - 2q)^-2; the time stays linear in z0.  On one
-    core of a 2-vCPU x86 host an answer takes under a second up to
-    q = 0.4998 (z0 = 1,085,752 in 0.62 s) and 2.2 s at q = 0.4999
-    (z0 = 4,339,741), with the peak RSS 22 MB above that before the call.
+    inequality log(1/s) < c(q/p) and are not evaluated.  Below it the
+    search walks over runs of ranks [a, r].  P and P_SN strictly decrease
+    in z (see race.confirmations_required), so for every r' in [a, r]:
+    if P_SN(a) >= P(a), r' is bad up to the last r with P_SN(r) >= P(a),
+    as P_SN(r') >= P_SN(r) >= P(a) >= P(r'); else r' is good up to the
+    last r with P(r) > P_SN(a), as P(r') >= P(r) > P_SN(a) >= P_SN(r').
+    race._last_at_least finds r on the scalar log kernels.  On one core of
+    a 2-vCPU x86 host z0(0.4999) = 4,339,741 takes 4.5 ms in 2,364 kernel
+    calls, and q = 0.49999 7.5 ms in 3,909.
     """
     _check_args(split)
     proven = z0_sufficient(split)
-    last_bad, lo, hi = 1, 2, _Z0_WINDOW + 2
-    while lo < proven:
-        w = np.arange(lo, min(hi, proven))
-        bad = w[_bad_rank(split, w)]
-        # bad ranks, bracketed by the last one before lo and by hi, so each
-        # gap minus one is a run of good ranks
-        ranks = np.concatenate(([last_bad], bad, [hi]))
-        closed = np.flatnonzero(np.diff(ranks) > _Z0_WINDOW)
-        if closed.size:
-            return int(ranks[closed[0]]) + 1
-        last_bad, lo, hi = int(ranks[-2]), hi, hi + min(hi, _Z0_BLOCK)
-    # the blocks reached the proven rank, so every rank past last_bad is good
+    log_sn, log_p = race._log_nakamoto, race._log_success_closed
+    last_bad, a = 1, 2
+    while a < proven and a - last_bad <= _Z0_WINDOW:
+        sn, p = log_sn(split, a), log_p(split, a)
+        if sn >= p:
+            last_bad = r = race._last_at_least(log_sn, split, p, a + 1, a, proven - 1)
+        else:  # nextafter turns P(r) > P_SN(a) into the search's >=
+            top = min(last_bad + _Z0_WINDOW, proven - 1)
+            r = race._last_at_least(log_p, split, math.nextafter(sn, math.inf), a + 1, a, top)
+        a = r + 1
     return last_bad + 1
 
 

@@ -121,13 +121,13 @@ def _z0_boundary(k, z0_at):
     k <= 202 (the table's k is 2..11), k <= z0_at(b) follows from the guide.
     The bisection moves hi only to a q where the guide held, so rank k - 1
     is bad at b (b = hi is never evaluated).  A bad rank lies below
-    z0_sufficient, which proves every later rank good, so z0_sharp tests it;
-    and the window of 200 good ranks from any z in [2, k - 1] covers rank
-    k - 1, so z0_sharp(b) >= k.  The guide and z0_sharp both decide with
-    asymptotics._bad_rank, the guide on the scalar kernels and z0_sharp on
-    the array ones, which may round a log apart by an ulp; at every guide
-    probe for k = 2..30, ln P_SN and ln P at rank k - 1 differ by at least
-    4.8e-6.  So one sharp rank checks each boundary.
+    z0_sufficient, which proves every later rank good, so z0_sharp
+    classifies it; and the window of 200 good ranks from any z in
+    [2, k - 1] covers rank k - 1, so z0_sharp(b) >= k.  z0_sharp decides
+    with the same scalar kernels as the guide, and a rank it does not
+    evaluate is classified by a certificate from a rank at or below it,
+    which agrees with the guide wherever the computed logs decrease in z,
+    as the tests check they do.  So one sharp rank checks each boundary.
     """
     lo, hi = _Z0_Q_LO, _Z0_Q_HI
     if z0_at(lo) >= k:

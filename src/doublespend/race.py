@@ -444,7 +444,7 @@ def recover_p_by_quadrature(split: HashSplit, z: int) -> float:
     z = _check_count("z", z, 1)
     if split.q == 0.5:
         return 1.0
-    lam, log_lam = split.lam, math.log(split.lam)
+    lam, log_lam = split.lam, _log_lam(split.q)
     peak = _bound_peak(z, lam, log_lam)
     # g <= h, so h is above this level wherever g is within the depth of its
     # peak; at one point the scalar kernels cost an order of magnitude less
@@ -497,6 +497,29 @@ def _asymptotic_start(split, risk):
     return int(z) + 1
 
 
+def _last_at_least(fn, split, floor, start, lo, hi):
+    """The largest r in [lo, hi] with fn(split, r) >= floor, for an fn that
+    decreases in r and meets the floor at lo, unevaluated.  From start, in
+    (lo, hi + 1], it gallops in steps 1, 2, 4, ... to a bracket and bisects it."""
+    if start <= hi and fn(split, start) >= floor:
+        bottom, top, step = start, min(start + 1, hi), 1
+        while bottom < hi and fn(split, top) >= floor:
+            bottom, step = top, 2 * step
+            top = min(bottom + step, hi)
+    else:  # fn(hi + 1) is taken as below the floor, unevaluated
+        bottom, top, step = max(start - 1, lo), start, 1
+        while bottom > lo and fn(split, bottom) < floor:
+            top, step = bottom, 2 * step
+            bottom = max(top - step, lo)
+    while top - bottom > 1:
+        mid = (bottom + top) // 2
+        if fn(split, mid) < floor:
+            top = mid
+        else:
+            bottom = mid
+    return bottom
+
+
 def confirmations_required(
     split: HashSplit, risk: float, use_nakamoto: bool = False
 ) -> int:
@@ -507,9 +530,9 @@ def confirmations_required(
     the a with I_s(a, 1/2) = risk, from scipy's inverse btdtria; Nakamoto's
     where the paper's asymptotics cross ``risk`` (see _asymptotic_start).
     From there it gallops in steps of 1, 2, 4, ... until it brackets the
-    crossing, and bisects the bracket.  Both probabilities strictly
-    decrease in z, so the answer is their strict crossing wherever the
-    search starts.
+    crossing, and bisects the bracket (_last_at_least).  Both
+    probabilities strictly decrease in z, so the answer is their strict
+    crossing wherever the search starts.
 
     Proof: with f(x) = min(1, lam^x), the catch-up chance from a deficit
     x, P_SN(z) = E f(z - N) with N ~ Poisson(z lam), and P(z) = E f(z - N)
@@ -538,29 +561,11 @@ def confirmations_required(
         a = cython_special.btdtria(risk, 0.5, split.s)
         # a is nan where s rounds to 1, which fails the comparison
         z = int(a) + 1 if a < MAX_CONFIRMATIONS else MAX_CONFIRMATIONS
-    # find lo < hi with prob(lo) >= risk > prob(hi); prob(0) = 1 >= risk
-    step = 1
-    if prob(split, z) < risk:
-        hi = z
-        lo = max(hi - step, 0)
-        while lo > 0 and prob(split, lo) < risk:
-            hi, step = lo, 2 * step
-            lo = max(hi - step, 0)
-    else:
-        lo = z
-        hi = min(lo + step, MAX_CONFIRMATIONS)
-        while lo < MAX_CONFIRMATIONS and prob(split, hi) >= risk:
-            lo, step = hi, 2 * step
-            hi = min(lo + step, MAX_CONFIRMATIONS)
-        if lo == MAX_CONFIRMATIONS:
-            near = f"; btdtria puts the crossing near z = {a:.3g}" if a < math.inf else ""
-            raise OverflowError(
-                f"no z <= {MAX_CONFIRMATIONS} reaches risk {risk} at q={split.q}{near}"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if prob(split, mid) < risk:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # prob(0) = 1 >= risk
+    last = _last_at_least(prob, split, risk, z, 0, MAX_CONFIRMATIONS)
+    if last == MAX_CONFIRMATIONS:
+        near = f"; btdtria puts the crossing near z = {a:.3g}" if a < math.inf else ""
+        raise OverflowError(
+            f"no z <= {MAX_CONFIRMATIONS} reaches risk {risk} at q={split.q}{near}"
+        )
+    return last + 1

@@ -3,16 +3,17 @@ finite-sum P(z) oracles that the tests check the closed form and the
 tables against (one in exact rationals, one in floating point), the
 doubling search that the confirmation solver is checked against, the
 plain bisection that the z0 table's boundaries are checked against, the
-simulated histogram of the attacker's block count that negbin_pmf is
-checked against, and the integer-counter forms of the three hand-rolled
-recurrences that the float-counter ones are pinned to bit for bit."""
+block scan that z0_sharp is checked against, the simulated histogram of
+the attacker's block count that negbin_pmf is checked against, and the
+integer-counter forms of the three hand-rolled recurrences that the
+float-counter ones are pinned to bit for bit."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from doublespend import race, specfun
+from doublespend import asymptotics, race, specfun
 from doublespend.race import HashSplit, NetworkParams
 from doublespend.sim import SimConfig, _map_batches, _race
 
@@ -181,6 +182,32 @@ def z0_boundary_bisect(k, z0_at, lo=0.001, hi=0.4999, tol=1e-4):
         else:
             lo = mid
     return hi
+
+
+# z0_block_scan's blocks of ranks double up to this many ranks, which bounds its memory
+Z0_BLOCK = 2**18
+
+
+def z0_block_scan(split):
+    """The sharp rank z0 by testing every rank below z0_sufficient, a block
+    of ranks at a time on the array kernels, until _Z0_WINDOW good ranks in
+    a row follow the last bad one: a search that relies on no order in z.
+    The blocks double up to Z0_BLOCK ranks; the time is linear in z0."""
+    window = asymptotics._Z0_WINDOW
+    proven = asymptotics.z0_sufficient(split)
+    last_bad, lo, hi = 1, 2, window + 2
+    while lo < proven:
+        w = np.arange(lo, min(hi, proven))
+        bad = w[asymptotics._bad_rank(split, w)]
+        # bad ranks, bracketed by the last one before lo and by hi, so each
+        # gap minus one is a run of good ranks
+        ranks = np.concatenate(([last_bad], bad, [hi]))
+        closed = np.flatnonzero(np.diff(ranks) > window)
+        if closed.size:
+            return int(ranks[closed[0]]) + 1
+        last_bad, lo, hi = int(ranks[-2]), hi, hi + min(hi, Z0_BLOCK)
+    # the blocks reached the proven rank, so every rank past last_bad is good
+    return last_bad + 1
 
 
 def estimate_negbin(split: HashSplit, config: SimConfig) -> np.ndarray:

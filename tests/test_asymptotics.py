@@ -25,7 +25,7 @@ from doublespend.asymptotics import (
 )
 from doublespend.race import HashSplit, attacker_success_closed, nakamoto_probability
 
-from reference_tables import SWEEP_QS, SWEEP_ZS, threshold_sums_int_counter
+from reference_tables import SWEEP_QS, SWEEP_ZS, threshold_sums_int_counter, z0_block_scan
 
 
 def split(q):
@@ -84,13 +84,14 @@ def z0_sharp_scan(s):
 def z0_with_bad_ranks(bad, window, proven):
     """z0_sharp with the window set to ``window``, the proven rank
     z0_sufficient set to ``proven``, and stand-in log probabilities under
-    which exactly the ranks in ``bad`` are bad."""
-    bad = sorted(bad)
+    which exactly the ranks in ``bad`` are bad.  Both stand-ins strictly
+    decrease in w, as the real ones do: ln P(w) = -2w, and ln P_SN(w) is
+    1/2 above it at a bad rank and 1/2 below it at a good one."""
     with mock.patch.object(asymptotics, "_Z0_WINDOW", window), mock.patch.object(
         asymptotics, "z0_sufficient", lambda s: proven
     ), mock.patch.object(
-        race, "_log_nakamoto", lambda s, w: np.where(np.isin(w, bad), 0.0, -1.0)
-    ), mock.patch.object(race, "_log_success_closed", lambda s, w: np.zeros(len(w))):
+        race, "_log_nakamoto", lambda s, w: -2.0 * w + (0.5 if w in bad else -0.5)
+    ), mock.patch.object(race, "_log_success_closed", lambda s, w: -2.0 * w):
         return z0_sharp(split(0.3))
 
 
@@ -415,7 +416,7 @@ class TestComparisonRank:
     def test_bad_ranks_form_a_prefix(self):
         # then z0 >= k exactly where rank k - 1 is bad, the guide that
         # cli._z0_boundary bisects on; measured, not proven, so z0_sharp
-        # keeps its scan and the table checks each guided cell
+        # keeps its window and the table checks each guided cell
         for q in np.linspace(0.001, 0.45, 300):
             s = split(float(q))
             w = np.arange(2, z0_sufficient(s))
@@ -425,32 +426,40 @@ class TestComparisonRank:
     def test_sharp_rank_near_half(self):
         assert z0_sharp(split(0.499)) == 43692
 
+    def test_sharp_rank_nearer_half(self):
+        # at q = 0.49999 the rounding of s = 4pq moves ln P by up to about
+        # z 2^-53 = 5e-8, while ln P_SN - ln P changes by d^2 = 4e-10 a rank,
+        # so the rank is not pinned there; the scaling limit checks it
+        assert z0_sharp(split(0.4999)) == 4339741
+
+    def test_sharp_rank_evaluates_few_ranks(self, monkeypatch):
+        # the walk over runs of ranks makes 1,213 kernel calls at q = 0.499;
+        # a scan evaluates every rank from 2 to at least 43,891
+        calls = []
+        for name in ("_log_nakamoto", "_log_success_closed"):
+            real = getattr(race, name)
+            monkeypatch.setattr(
+                race, name, lambda s, w, real=real: calls.append(w) or real(s, w)
+            )
+        assert z0_sharp(split(0.499)) == 43692
+        assert len(calls) <= 2000
+
+    @pytest.mark.parametrize("q", [0.45, 0.49, 0.499, 0.4995])
+    def test_sharp_rank_matches_block_scan(self, q):
+        assert z0_sharp(split(q)) == z0_block_scan(split(q))
+
     def test_sharp_rank_scaling_limit_near_half(self):
         # with d = 1 - 2q and z = t/d^2, P(z) tends to erfc(sqrt t) and
         # P_SN(z) to erfc(sqrt 2t)/2 + e^{-2t}/2; the two limits cross at t*,
-        # so z0 d^2 = t* + O(d).  q = 0.4999 (2 s) is left out.
+        # so z0 d^2 = t* + O(d).
         def gap(t):
             return erfc(math.sqrt(t)) - 0.5 * erfc(math.sqrt(2.0 * t)) - 0.5 * math.exp(-2.0 * t)
 
         t_star = brentq(gap, 0.01, 1.0, xtol=1e-14)
         assert t_star == pytest.approx(0.1734589925, abs=1e-10)
-        for q in (0.499, 0.4995, 0.4998):
+        for q in (0.499, 0.4995, 0.4998, 0.4999, 0.49999):
             d = 1.0 - 2.0 * q
             assert abs(z0_sharp(split(q)) * d * d - t_star) <= d, q
-
-    def test_block_cap_keeps_the_answers(self, monkeypatch):
-        expected = {0.45: z0_sharp(split(0.45)), 0.49: z0_sharp(split(0.49)), 0.499: 43692}
-        real = asymptotics._bad_rank
-        sizes = []
-        monkeypatch.setattr(asymptotics, "_Z0_BLOCK", 1024)
-        monkeypatch.setattr(
-            asymptotics, "_bad_rank", lambda s, w: sizes.append(w.size) or real(s, w)
-        )
-        for q, z0 in expected.items():
-            assert z0_sharp(split(q)) == z0, q
-        # the scan at 0.499 runs to rank 43892, past many full blocks
-        assert max(sizes) == 1024
-        assert sizes.count(1024) > 30
 
     @pytest.mark.parametrize(
         "bad, expected",
@@ -459,9 +468,9 @@ class TestComparisonRank:
             ((2, 3, 8), 4),  # exactly the window of good ranks, 4..7, closes
             ((2, 3, 9), 4),  # window + 1 good ranks, 4..8
             ((2, 3, 7, 12), 8),  # window - 1 good ranks, 4..6, do not
-            ((5,), 6),  # last rank of the first block, 2..5
-            (tuple(range(2, 10)), 10),  # the run starts in the second block, ends in the third
-            (tuple(range(2, 41, 3)) + (40,), 41),  # 11 ends the second block; 40 is in the fourth
+            ((5,), 6),  # one bad rank after good ones
+            (tuple(range(2, 10)), 10),  # one run of bad ranks
+            (tuple(range(2, 41, 3)) + (40,), 41),  # bad ranks 3 apart up to 38, then 40
         ],
     )
     def test_run_detection(self, bad, expected):
@@ -477,9 +486,9 @@ class TestComparisonRank:
             ((2, 3, 5, 7, 9, 12), 10, 10),  # 12 is past the proven rank
             ((2, 3), 2, 2),  # nothing below the proven rank is evaluated
             ((2, 3), 1, 2),
-            ((2, 5), 6, 6),  # the proven rank ends the first block
+            ((2, 5), 6, 6),  # the proven rank follows the last bad one
             ((2, 3, 8, 30), 25, 4),  # the run closes below the proven rank
-            ((2, 3, 5, 7, 9), 11, 10),  # the second block is cut at 11
+            ((2, 3, 5, 7, 9), 11, 10),  # the proven rank ends the window
         ],
     )
     def test_run_detection_with_proven_rank(self, bad, proven, expected):
@@ -490,14 +499,11 @@ class TestComparisonRank:
         st.integers(1, 8),
         st.sets(st.integers(2, 150), max_size=40),
         st.integers(1, 160),
-        st.integers(1, 200),
     )
-    def test_run_detection_matches_scan(self, window, bad, proven, block):
-        # blocks capped at ``block`` ranks; a cap near 200 is never reached
-        with mock.patch.object(asymptotics, "_Z0_BLOCK", block):
-            assert z0_with_bad_ranks(bad, window, proven) == first_settled_rank(
-                lambda w: w in bad and w < proven, window
-            )
+    def test_run_detection_matches_scan(self, window, bad, proven):
+        assert z0_with_bad_ranks(bad, window, proven) == first_settled_rank(
+            lambda w: w in bad and w < proven, window
+        )
 
 
 class TestKappaThreshold:

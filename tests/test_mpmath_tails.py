@@ -75,7 +75,7 @@ def test_nakamoto_strictly_decreasing(q):
     s = split(q)
     logs = [race._log_nakamoto(s, z) for z in range(1, 10_001)]
     assert all(b < a for a, b in zip(logs, logs[1:]))
-    # the array path z0_sharp compares over whole blocks of ranks
+    # and on the array path
     assert np.all(np.diff(race._log_nakamoto(s, np.arange(1, 10_001))) < 0)
     # below 1e-300 the doubles thin out into subnormals, where neighbours can tie
     values = [race.nakamoto_probability(s, z) for z in range(1, 10_001)]
@@ -242,8 +242,9 @@ def test_log_success_closed_array(q):
         assert abs(value - ref) <= mp.mpf("1e-13") * abs(ref), (z, value, ref)
 
 
-def test_z0_sharp_near_half():
-    s = split(0.499)
+@pytest.mark.parametrize("q", [0.499, 0.4999, 0.49999])
+def test_z0_sharp_near_half(q):
+    s = split(q)
     assert 2 <= asymptotics.z0_sharp(s) <= asymptotics.z0_sufficient(s)
 
 

@@ -177,6 +177,13 @@ def test_readme_z0_table_sharp_ranks_are_the_code_ones(monkeypatch, tmp_path):
     assert re.findall(r"(\d+) sharp ranks instead of", readme_text()) == [str(len(calls))]
 
 
+def test_readme_z0_figures_are_the_code_ones():
+    figures = re.findall(r"z0\((0\.\d+)\) = (\d+)", readme_text())
+    assert len(figures) == 2, figures
+    for q, z0 in figures:
+        assert asymptotics.z0_sharp(race.HashSplit(float(q))) == int(z0), q
+
+
 def test_readme_names_the_batch_bit_generator():
     _, rng = next(sim._batches(sim.SimConfig(trials=1, seed=0, z=1)))
     name = type(rng.bit_generator).__name__
