@@ -526,13 +526,16 @@ def confirmations_required(
     """Smallest z >= 1 with success probability strictly below ``risk``.
 
     Uses the closed form by default, Nakamoto's approximation when
-    ``use_nakamoto`` is set.  The closed form's search starts one above
-    the a with I_s(a, 1/2) = risk, from scipy's inverse btdtria; Nakamoto's
-    where the paper's asymptotics cross ``risk`` (see _asymptotic_start).
-    From there it gallops in steps of 1, 2, 4, ... until it brackets the
-    crossing, and bisects the bracket (_last_at_least).  Both
-    probabilities strictly decrease in z, so the answer is their strict
-    crossing wherever the search starts.
+    ``use_nakamoto`` is set.  Both searches compare a log kernel with
+    ln risk: ln P(z) from scipy's betainc (_log_success_closed), or
+    ln P_SN(z) from the two gamma tails (_log_nakamoto).  The closed
+    form's search starts one above the a with I_s(a, 1/2) = risk, from
+    scipy's inverse btdtria; Nakamoto's where the paper's asymptotics cross
+    ``risk`` (see _asymptotic_start).  From there it gallops in steps of
+    1, 2, 4, ... until it brackets the crossing, and bisects the bracket
+    (_last_at_least).  Both probabilities strictly decrease in z, so the
+    answer is the strict crossing of the log kernel wherever the search
+    starts.
 
     Proof: with f(x) = min(1, lam^x), the catch-up chance from a deficit
     x, P_SN(z) = E f(z - N) with N ~ Poisson(z lam), and P(z) = E f(z - N)
@@ -555,14 +558,14 @@ def confirmations_required(
             "at q = 0.5 the attack always succeeds"
         )
     if use_nakamoto:
-        prob, z, a = nakamoto_probability, _asymptotic_start(split, risk), math.nan
+        log_prob, z, a = _log_nakamoto, _asymptotic_start(split, risk), math.nan
     else:
-        prob = attacker_success_closed
+        log_prob = _log_success_closed
         a = cython_special.btdtria(risk, 0.5, split.s)
         # a is nan where s rounds to 1, which fails the comparison
         z = int(a) + 1 if a < MAX_CONFIRMATIONS else MAX_CONFIRMATIONS
-    # prob(0) = 1 >= risk
-    last = _last_at_least(prob, split, risk, z, 0, MAX_CONFIRMATIONS)
+    # ln prob(0) = 0 >= ln risk
+    last = _last_at_least(log_prob, split, math.log(risk), z, 0, MAX_CONFIRMATIONS)
     if last == MAX_CONFIRMATIONS:
         near = f"; btdtria puts the crossing near z = {a:.3g}" if a < math.inf else ""
         raise OverflowError(

@@ -36,6 +36,9 @@ fraction (its prefactor assembled in log space) until scipy's ``betaincc``
 can replace it: the last bits of its values decide tied cells of the
 published tables, and every scipy route tried moved some of them.  So a
 rewrite of the hand-rolled loops keeps each IEEE operation in its order.
+It serves no solver: ``confirmations_required`` and ``z0_sharp`` search
+the log kernels, ``log_reg_inc_beta`` for ln P and the two gamma log
+tails for ln P_SN.
 """
 
 import math

@@ -28,12 +28,15 @@ SWEEP_ZS = (2, 6, 24, 100, 500, 2000)
 
 
 def exact_success_rational(q_frac, z):
-    """P(z) as an exact rational, straight from the finite-sum formula."""
-    p = 1 - q_frac
-    total = Fraction(0)
-    for k in range(z):
-        total += (p**z * q_frac**k - q_frac**z * p**k) * math.comb(k + z - 1, k)
-    return 1 - total
+    """P(z) as an exact rational, straight from the finite-sum formula
+    1 - sum_{k<z} (p^z q^k - q^z p^k) C(k+z-1, k), summed in integers over
+    the common denominator b^(2z) of q = a/b."""
+    a, b = q_frac.numerator, q_frac.denominator
+    c = b - a  # p = c/b
+    total = sum(
+        (c**z * a**k - a**z * c**k) * b ** (z - k) * math.comb(k + z - 1, k) for k in range(z)
+    )
+    return 1 - Fraction(total, b ** (2 * z))
 
 
 def attacker_success_sum(split, z):
@@ -151,19 +154,21 @@ SATOSHI6_PERCENT = [
 
 
 def confirmations_scan(split, risk, use_nakamoto=False):
-    """The smallest z with P(z) < risk (P_SN(z) with ``use_nakamoto``),
-    by doubling from z = 1, then bisecting: a search that shares nothing
-    with the solver's asymptotic start, as its oracle."""
-    prob = race.nakamoto_probability if use_nakamoto else race.attacker_success_closed
+    """The smallest z with ln P(z) < ln risk (ln P_SN(z) with
+    ``use_nakamoto``) on the log kernels the solver probes, by doubling
+    from z = 1, then bisecting: a search that shares nothing with the
+    solver's starts or its gallop, as its oracle."""
+    log_prob = race._log_nakamoto if use_nakamoto else race._log_success_closed
+    floor = math.log(risk)
     hi = 1
-    while prob(split, hi) >= risk:
+    while log_prob(split, hi) >= floor:
         hi *= 2
     if hi == 1:
         return 1
-    lo = hi // 2  # prob(lo) >= risk > prob(hi)
+    lo = hi // 2  # log_prob(lo) >= floor > log_prob(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if prob(split, mid) < risk:
+        if log_prob(split, mid) < floor:
             hi = mid
         else:
             lo = mid

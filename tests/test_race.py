@@ -37,6 +37,31 @@ def split(q):
     return HashSplit.from_attacker_share(q)
 
 
+def success_mp(q, z):
+    """P(z) = I_s(z, 1/2) at s = 4pq of the double q, in 50-digit mpmath."""
+    if z == 0:
+        return 1
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        q = mp.mpf(q)
+        return mp.betainc(z, 0.5, 0, 4 * q * (1 - q), regularized=True)
+
+
+def nakamoto_mp(q, z):
+    """P_SN(z) = P(z, z lam) + lam^z e^{z (1 - lam)} Q(z, z) in 50-digit
+    mpmath, two positive terms, so it holds below the least double, where
+    Nakamoto's Poisson sum would cancel."""
+    if z == 0:
+        return 1
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        q = mp.mpf(q)
+        lam = q / (1 - q)
+        head = mp.gammainc(z, 0, z * lam, regularized=True)
+        upper = mp.gammainc(z, z, mp.inf, regularized=True)
+        return head + mp.exp(z * mp.log(lam) + z * (1 - lam)) * upper
+
+
 class TestHashSplit:
     def test_derived_fields(self):
         s = split(0.3)
@@ -590,12 +615,14 @@ class TestConfirmationsRequired:
             confirmations_required(split(0.4999), 0.001)
 
     def test_answer_just_below_the_guard(self):
-        # the answer is below the guard although a doubling bracket passes it
+        # the answer is below the guard although a doubling bracket passes it;
+        # the risk, 0.3961439127894836, is 4.5e-9 relative above the 50-digit
+        # P(9,000,000) = 0.39614391098902734, and below P(8,999,999)
         s = split(0.4999)
         risk = attacker_success_closed(s, 9_000_000)
         z = confirmations_required(s, risk)
-        assert z <= race.MAX_CONFIRMATIONS
-        assert attacker_success_closed(s, z) < risk <= attacker_success_closed(s, z - 1)
+        assert z == 9_000_000 <= race.MAX_CONFIRMATIONS
+        assert success_mp(0.4999, z) < risk <= success_mp(0.4999, z - 1)
 
     @given(st.floats(min_value=0.001, max_value=0.49),
            st.floats(min_value=-15.0, max_value=math.log10(0.5)),
@@ -609,32 +636,45 @@ class TestConfirmationsRequired:
 
     @pytest.mark.parametrize("use_nakamoto", [False, True])
     def test_equals_linear_scan_up_to_200(self, use_nakamoto):
-        prob = nakamoto_probability if use_nakamoto else attacker_success_closed
+        # the scan probes the solver's log kernels, so it checks the search;
+        # each answer is also the strict crossing of an independent P: exact
+        # rationals for the closed form (at q = 0.05, P(1) = 2q is exactly
+        # the risk 0.1, so z = 2), 50-digit mpmath for Nakamoto's
+        log_prob = race._log_nakamoto if use_nakamoto else race._log_success_closed
         checked = 0
         for q in (0.001, 0.05, 0.1, 0.2, 0.3, 0.35, 0.4):
             s = split(q)
             for risk in (0.5, 0.1, 1e-2, 1e-3, 1e-6, 1e-10, 1e-15):
-                z = next((z for z in range(1, 201) if prob(s, z) < risk), None)
+                floor = math.log(risk)
+                z = next((z for z in range(1, 201) if log_prob(s, z) < floor), None)
                 if z is not None:
                     assert confirmations_required(s, risk, use_nakamoto) == z, (q, risk)
+                    if use_nakamoto:
+                        below, above = nakamoto_mp(q, z), nakamoto_mp(q, z - 1)
+                    else:
+                        below = exact_success_rational(Fraction(q), z)
+                        above = exact_success_rational(Fraction(q), z - 1)
+                    assert below < risk <= above, (q, risk)
                     checked += 1
         assert checked >= 40
+        if not use_nakamoto:
+            assert exact_success_rational(Fraction(0.05), 1) == Fraction(0.1)
+            assert confirmations_required(split(0.05), 0.1) == 2
 
     # the corners of the benchmark's solver stream, its deep-tail probe
-    # (z_SN = 61, pinned against mpmath in test_mpmath_tails), and the
-    # least double as the risk, where btdtria puts the closed form's
-    # crossing at 697 but P(725) is still that double, so z = 726
+    # (z_SN = 61), and the least double as the risk, where btdtria puts
+    # the closed form's crossing at 697, but 50-digit mpmath gives
+    # P(725) = 5.46e-324 and P(726) = 1.96e-324, so z = 726, and
+    # P_SN(568) = 9.35e-324 and P_SN(569) = 2.53e-324, so z_SN = 569
     EDGES = [(0.01, 1e-2), (0.01, 1e-12), (0.45, 1e-2), (0.45, 1e-12), (0.2, 1e-17),
              (0.1, 5e-324)]
 
     @pytest.mark.parametrize("q, risk", EDGES)
     @pytest.mark.parametrize("use_nakamoto", [False, True])
     def test_strict_crossing_at_edges(self, q, risk, use_nakamoto):
-        s = split(q)
-        prob = nakamoto_probability if use_nakamoto else attacker_success_closed
-        z = confirmations_required(s, risk, use_nakamoto)
-        assert prob(s, z) < risk
-        assert z == 1 or prob(s, z - 1) >= risk
+        prob = nakamoto_mp if use_nakamoto else success_mp
+        z = confirmations_required(split(q), risk, use_nakamoto)
+        assert prob(q, z) < risk <= prob(q, z - 1)
 
     @pytest.mark.parametrize("use_nakamoto", [False, True])
     def test_probes_per_solve(self, monkeypatch, use_nakamoto):
@@ -648,7 +688,7 @@ class TestConfirmationsRequired:
                 return fn(s, z)
             return probe
 
-        for name in ("attacker_success_closed", "nakamoto_probability"):
+        for name in ("_log_success_closed", "_log_nakamoto"):
             monkeypatch.setattr(race, name, counted(getattr(race, name)))
         solves = 0
         for i in range(20):
@@ -671,7 +711,7 @@ class TestConfirmationsRequired:
         ]
         expected = [confirmations_scan(s, risk, use_nakamoto) for s, risk in points]
         probes = []
-        name = "nakamoto_probability" if use_nakamoto else "attacker_success_closed"
+        name = "_log_nakamoto" if use_nakamoto else "_log_success_closed"
         prob = getattr(race, name)
 
         def probe(s, z):
@@ -681,7 +721,7 @@ class TestConfirmationsRequired:
         monkeypatch.setattr(race, name, probe)
         got = [confirmations_required(s, risk, use_nakamoto) for s, risk in points]
         assert got == expected
-        assert len(probes) <= limit * len(points)
+        assert len(points) <= len(probes) <= limit * len(points)
 
     @pytest.mark.parametrize("use_nakamoto", [False, True])
     def test_overflow_where_s_rounds_to_one(self, use_nakamoto):
