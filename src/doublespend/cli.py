@@ -174,13 +174,9 @@ def cmd_table(args):
 
 
 def _write_rows(path, header, rows):
-    """Write header and rows as CSV; no cell holds a comma, a quote or a
-    newline, so none is quoted."""
-    _write_lines(path, [",".join(map(str, row)) for row in (header, *rows)])
-
-
-def _write_lines(path, lines):
-    """Write the lines to path in one write, each ended by a newline."""
+    """Write header and rows as CSV in one write, each line ended by a
+    newline; no cell holds a comma, a quote or a newline, so none is quoted."""
+    lines = [",".join(map(str, row)) for row in (header, *rows)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -243,12 +239,12 @@ def cmd_curve(args):
     labels = [f"{kappa:.6g}" for kappa in kappas]
     # one array call over the z x kappa grid
     grid = race._conditional_over_kappa(args.q, np.array(args.z)[:, None], kappas)
-    lines = [
-        f"{z},{label},{v:.7f}"
+    rows = [
+        [z, label, f"{v:.7f}"]
         for z, values in zip(args.z, grid.tolist())
         for label, v in zip(labels, values)
     ]
-    _write_lines(args.out, ["z,kappa,probability", *lines])
+    _write_rows(args.out, ["z", "kappa", "probability"], rows)
     return 0
 
 

@@ -152,8 +152,6 @@ def _logaddexp(a, b):
     if isinstance(a, np.ndarray):
         return np.logaddexp(a, b)
     m = max(a, b)
-    if m == -math.inf:
-        return -math.inf
     return m + math.log1p(math.exp(-abs(a - b)))
 
 

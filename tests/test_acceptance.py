@@ -8,9 +8,9 @@ so a red run still reports the status of every criterion.
 import math
 from fractions import Fraction
 
-import pytest
+import mpmath
 
-from doublespend import race, sim
+from doublespend import race
 from doublespend.asymptotics import (
     c_function,
     kappa_threshold,
@@ -28,6 +28,7 @@ from doublespend.race import (
 )
 from doublespend.sim import SimConfig, estimate_success
 
+from oracles import nakamoto_mp
 from reference_tables import (
     KAPPA_ROWS,
     Q_COLS,
@@ -294,25 +295,11 @@ def test_acceptance_13_asymptotics():
     verdict(13, failures)
 
 
-def nakamoto_mp(q_frac, z):
-    """P_SN(z) to 40 digits: Nakamoto's Poisson sum, evaluated in mpmath."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        lam = mpmath.mpf(q_frac.numerator) / (q_frac.denominator - q_frac.numerator)
-        mean = z * lam
-        return 1 - mpmath.fsum(
-            mpmath.exp(-mean) * mean**k / mpmath.factorial(k) * (1 - lam ** (z - k))
-            for k in range(z + 1)
-        )
-
-
 def test_reference_data_matches_exact_oracles():
     """The frozen values above are checked against oracles that share no
     code with the library: each table cell is the 7-decimal rounding of
     the exact value, and each confirmation count is the strict crossing
     P(z - 1) >= 0.001 > P(z)."""
-    mpmath = pytest.importorskip("mpmath")
     risk = Fraction(1, 1000)
     wrong = []
     for q, table in ((Fraction(1, 10), TABLE_Q01), (Fraction(3, 10), TABLE_Q03)):

@@ -32,20 +32,6 @@ def split(q):
     return HashSplit.from_attacker_share(q)
 
 
-def log_conditional(s, z, kappa):
-    """ln P(z, kappa) assembled from the log-space kernels; usable where
-    the linear-space value underflows to zero."""
-    lam = s.lam
-    log_head = specfun.log_reg_lower_gamma_p(z, kappa * z * lam)
-    log_tail = (
-        z * math.log(lam)
-        + kappa * z * (1.0 - lam)
-        + specfun.log_reg_upper_gamma_q(z, kappa * z)
-    )
-    m = max(log_head, log_tail)
-    return m + math.log(math.exp(log_head - m) + math.exp(log_tail - m))
-
-
 def log_inc_beta_cf(x, a, b):
     """ln I_x(a, b) from the hand-rolled continued fraction alone, as
     specfun evaluated it before the value came from scipy's betainc."""
@@ -215,7 +201,7 @@ class TestConditionalAsymptotic:
         log_first_term = specfun.log_reg_lower_gamma_p(z, kappa * z * lam)
         assert abs(math.exp(log_asym - log_first_term) - 1.0) <= 0.15
 
-        log_full = log_conditional(s, z, kappa)
+        log_full = race._log_conditional(s.q, z, kappa)
         log_second = (
             z * math.log(lam)
             + kappa * z * (1.0 - lam)

@@ -5,6 +5,10 @@ import csv
 import functools
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from doublespend import asymptotics, cli, race, sim, specfun
 from doublespend.cli import main
 
+from oracles import asymptotics_mp
 from reference_tables import (
     KAPPA_ROWS,
     Q_COLS,
@@ -48,18 +53,31 @@ class TestProb:
         err = capsys.readouterr().err
         assert "q" in err
 
+    def test_rejects_bad_share_from_a_cold_interpreter(self):
+        # through python -m and the __main__ guard, as a user runs it:
+        # one error line and no traceback
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "doublespend.cli", "prob", "--q", "0.7", "--z", "6"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stdout + out.stderr
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
     def test_asymptotic_where_s_rounds_to_one(self, capsys):
         # 4pq rounds to 1 here: ln s was ln 1 = 0 and 1 - s was 0, and the
         # command used to exit 2 with "math domain error"
-        mp = pytest.importorskip("mpmath")
         q = 0.499999999999
         assert race.HashSplit(q).s == 1.0
         assert main(["prob", "--q", repr(q), "--z", "10", "--method", "asymptotic"]) == 0
         got = float(capsys.readouterr().out.split()[0])
-        with mp.workdps(40):
-            s = 4 * mp.mpf(q) * (1 - mp.mpf(q))
-            ref = s**10 / mp.sqrt(mp.pi * (1 - s) * 10)
-            assert abs(got - ref) <= 1e-14 * ref
+        ref = asymptotics_mp(q, 10)["p_asymptotic"]
+        assert abs(got - ref) <= 1e-14 * ref
 
     @settings(max_examples=150, deadline=None)
     @given(

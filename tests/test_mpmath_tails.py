@@ -1,11 +1,13 @@
-"""Deep-tail regression tests against 40-digit mpmath.
+"""Deep-tail regression tests against the mpmath references of oracles.py.
 
-Each value holds to 1e-12 relative error, or 1e-300 absolute where the
-reference is below 1e-300.  The points are where P_SN used to cancel,
-where its solver used to bisect over a curve that was not monotone,
-where the incomplete gamma used to hit its iteration cap, the grid on
-which the quadrature over kappa used to miss P(z) (by up to 0.92 at z = 2000),
-and the log density of kappa, whose terms used to cancel at large z.
+A probability holds to 1e-12 relative error, or 1e-300 absolute where
+the reference is below 1e-300; a log holds to the gate its test names.
+The points are where P_SN used to cancel, where its solver used
+to bisect over a curve that was not monotone, where the incomplete gamma
+used to hit its iteration cap, the grid on which the quadrature over
+kappa used to miss P(z) (by up to 0.92 at z = 2000), the log density of
+kappa, whose terms used to cancel at large z, and, next to q = 1/2, the
+asymptotic formulas and bounds, whose terms used to cancel there.
 """
 
 import math
@@ -23,7 +25,21 @@ from reference_tables import SWEEP_QS, SWEEP_ZS
 
 mp = pytest.importorskip("mpmath")
 
-DPS = 40
+# after the skip, since the references need mpmath
+from oracles import (
+    DPS,
+    LEDGER_DPS,
+    asymptotics_mp,
+    c_mp,
+    conditional_mp,
+    log_gamma_tail_mp,
+    log_success_closed_mp,
+    nakamoto_mp,
+    poisson_split,
+    success_mp,
+    threshold_lhs_mp,
+    z0_sufficient_mp,
+)
 
 
 def split(q):
@@ -36,31 +52,6 @@ def assert_close(got, ref, rel="1e-12"):
         assert abs(got - ref) <= mp.mpf("1e-300"), (got, ref)
     else:
         assert abs(got - ref) <= mp.mpf(rel) * ref, (got, ref)
-
-
-def nakamoto_mp(q, z):
-    """P_SN(z) by Nakamoto's Poisson sum, in mpmath."""
-    with mp.workdps(DPS):
-        q = mp.mpf(q)
-        lam = q / (1 - q)
-        mean = z * lam
-        return 1 - mp.fsum(
-            mp.exp(-mean) * mean**k / mp.factorial(k) * (1 - lam ** (z - k))
-            for k in range(z)
-        )
-
-
-def conditional_mp(q, z, kappa, dps=DPS):
-    """P(z, kappa) = P(z, kappa z lam) + lam^z e^{kappa z (1-lam)} Q(z, kappa z)."""
-    with mp.workdps(dps):
-        q = mp.mpf(q)
-        lam = q / (1 - q)
-        x = mp.mpf(kappa) * z
-        head = mp.gammainc(z, 0, x * lam, regularized=True)
-        tail = mp.exp(z * mp.log(lam) + x * (1 - lam)) * mp.gammainc(
-            z, x, mp.inf, regularized=True
-        )
-        return head + tail
 
 
 @pytest.mark.parametrize("z, magnitude", [(60, 1.45e-17), (100, 1.25e-28)])
@@ -97,7 +88,7 @@ def step_mp(q, x, law):
         lam = q / p
         if law == "poisson":
             weight = mp.exp(-lam)
-            beyond = mp.gammainc(x + 2, 0, lam, regularized=True)  # P[M >= x + 2]
+            beyond = poisson_split(lam, x + 2)[0]  # P[M >= x + 2]
         else:
             weight = p
             beyond = q ** (x + 2)
@@ -158,8 +149,7 @@ LOWER_POINTS = [(6.0, 2.0396e-49), (6.0, 4.3943e-51), (100.0, 0.042647), (100.0,
 def test_log_upper_gamma_agrees_across_switch(s, x):
     cf = specfun._log_upper_gamma_cf(s, x)
     assert abs(cf - math.log(special.gammaincc(s, x))) <= 1e-12
-    with mp.workdps(DPS):
-        ref = mp.log(mp.gammainc(s, x, mp.inf, regularized=True))
+    ref = log_gamma_tail_mp(s, x, upper=True)
     assert abs(specfun.log_reg_upper_gamma_q(s, x) - ref) <= 1e-12
 
 
@@ -167,8 +157,7 @@ def test_log_upper_gamma_agrees_across_switch(s, x):
 def test_log_lower_gamma_agrees_across_switch(s, x):
     series = specfun._log_lower_gamma_kummer(s, x)
     assert abs(series - math.log(special.gammainc(s, x))) <= 1e-12
-    with mp.workdps(DPS):
-        ref = mp.log(mp.gammainc(s, 0, x, regularized=True))
+    ref = log_gamma_tail_mp(s, x, upper=False)
     assert abs(specfun.log_reg_lower_gamma_p(s, x) - ref) <= 1e-12
 
 
@@ -177,24 +166,6 @@ def test_switch_points_straddle_the_threshold():
         values = [fn(s, x) for s, x in points]
         assert values[0] > 1e-300 > values[1]
         assert values[2] > 1e-300 > values[3]
-
-
-def log_gamma_tail_mp(s, x, upper):
-    """ln Q(s, x) if ``upper``, else ln P(s, x), for integer s in mpmath:
-    the Poisson sums Q = P[Poisson(x) < s] and P = P[Poisson(x) >= s],
-    summed outwards from their term at k = s - 1 or k = s.  All terms are
-    positive, so nothing cancels; mpmath's own gammainc does not converge
-    for the upper function at large s."""
-    with mp.workdps(DPS):
-        x = mp.mpf(x)
-        k = s - 1 if upper else s
-        log_first = k * mp.log(x) - x - mp.loggamma(k + 1)
-        term = total = mp.mpf(1)
-        while term > total * mp.mpf(10) ** -(DPS + 2) and k > 0:
-            term *= k / x if upper else x / (k + 1)
-            k += -1 if upper else 1
-            total += term
-        return log_first + mp.log(total)
 
 
 @pytest.mark.parametrize("s", [6, 21, 22, 100, 10**3, 10**4, 10**5, 10**6])
@@ -214,26 +185,6 @@ def test_log_gamma_tails_within_ulps(s):
             assert abs(got - ref) <= 8 * 2.0**-52 * max(1, abs(ref)), (s, x, got, ref)
 
 
-def log_success_closed_mp(q, z_max):
-    """ln I_s(z, 1/2) for z = 2..z_max in mpmath: one betainc at z_max, then
-    I_s(z, 1/2) = I_s(z + 1, 1/2) + t(z) downwards, where
-    t(z) = s^z (1 - s)^(1/2) / (z B(z, 1/2)) and t(z) / t(z + 1) = (z + 1) / ((z + 1/2) s).
-    Every step adds a positive term, so nothing cancels."""
-    with mp.workdps(DPS):
-        s = mp.mpf(split(q).s)
-        value = mp.betainc(z_max, 0.5, 0, s, regularized=True)
-        term = mp.exp(
-            mp.loggamma(z_max + 0.5) - mp.loggamma(z_max + 1) - mp.loggamma(0.5)
-            + z_max * mp.log(s) + 0.5 * mp.log(1 - s)
-        )
-        logs = [mp.log(value)]
-        for z in range(z_max - 1, 1, -1):
-            term *= (z + 1) / ((z + mp.mpf(0.5)) * s)
-            value += term
-            logs.append(mp.log(value))
-        return logs[::-1]
-
-
 @pytest.mark.parametrize("q", [0.001, 0.1, 0.3, 0.45])
 def test_log_success_closed_array(q):
     # at q = 0.001 every rank from 133 on is below 1e-300, on the log fallback
@@ -246,24 +197,6 @@ def test_log_success_closed_array(q):
 def test_z0_sharp_near_half(q):
     s = split(q)
     assert 2 <= asymptotics.z0_sharp(s) <= asymptotics.z0_sufficient(s)
-
-
-def success_mp(q, z):
-    """P(z) = I_{4pq}(z, 1/2) = 2 P[Binomial(2z - 1, q) >= z] in mpmath: a sum
-    of positive terms whose ratio is at most q/p, so nothing cancels."""
-    with mp.workdps(DPS):
-        q = mp.mpf(q)
-        p = 1 - q
-        n = 2 * z - 1
-        term = mp.exp(mp.loggamma(n + 1) - mp.loggamma(z + 1) - mp.loggamma(z)
-                      + z * mp.log(q) + (z - 1) * mp.log(p))
-        total = term
-        for j in range(z, n):
-            term *= (n - j) * q / ((j + 1) * p)
-            total += term
-            if term < total * mp.mpf(10) ** -(DPS + 2):
-                break
-        return 2 * total
 
 
 @pytest.mark.parametrize("z", [1, 2, 6, 24, 100, 500, 2000, 5000])
@@ -287,19 +220,6 @@ def test_quadrature_recovers_p_at_large_z(q, z, rel):
     got = race.recover_p_by_quadrature(split(q), z)
     assert math.isfinite(got)
     assert_close(got, success_mp(q, z), rel)
-
-
-def threshold_lhs_mp(z, kappa):
-    """sum_{j=1}^{z-1} prod_{i<=j} (1 - i/z) / kappa^j in mpmath."""
-    with mp.workdps(DPS):
-        kappa = mp.mpf(kappa)
-        term, total = mp.mpf(1), mp.mpf(0)
-        for j in range(1, z):
-            term *= (1 - mp.mpf(j) / z) / kappa
-            total += term
-            if term < total * mp.mpf(10) ** -(DPS + 2):
-                break
-        return total
 
 
 @pytest.mark.parametrize("z", [*SWEEP_ZS, 10**5])
@@ -333,7 +253,6 @@ def test_log_kappa_density(z):
 # mpmath at the double q, each held to the ulp-scaled gate on ln v.  Near
 # q = 1/2, 1 - s, ln s and c(q/p) used to be formed by cancellation, and
 # lost about 1/d^2 or 1/d ulps, d = 1 - 2q (1.7e-5 relative at q = 0.499999).
-LEDGER_DPS = 60
 NEAR_HALF_QS = [0.499, 0.4999, 0.49999, 0.499999]
 
 
@@ -342,28 +261,6 @@ def within_ulps(got, ref, k=8):
     with mp.workdps(LEDGER_DPS):
         log_ref = mp.log(ref)
         return abs(mp.log(got) - log_ref) <= k * 2.0**-52 * max(1, abs(log_ref))
-
-
-def c_mp(x):
-    with mp.workdps(LEDGER_DPS):
-        return x - 1 - mp.log(x)
-
-
-def asymptotics_mp(q, z):
-    """Each asymptotic formula and bound, by name, at the double q."""
-    with mp.workdps(LEDGER_DPS):
-        q = mp.mpf(q)
-        p = 1 - q
-        s, lam = 4 * p * q, q / p
-        upper = s**z / mp.sqrt(mp.pi * (1 - s) * z)
-        decay = mp.exp(-z * c_mp(lam))
-        return {
-            "p_asymptotic": upper,
-            "p_bounds lower": mp.sqrt(z / (z + mp.mpf(0.5))) * s**z / mp.sqrt(mp.pi * z),
-            "p_bounds upper": upper,
-            "psn_asymptotic": decay / 2,
-            "psn_upper_bound": decay / ((1 - lam) * mp.sqrt(2 * mp.pi * z)) + decay / 2,
-        }
 
 
 def assert_asymptotics_within_ulps(q, z):
@@ -382,19 +279,6 @@ def assert_asymptotics_within_ulps(q, z):
     assert within_ulps(asymptotics.c_function(s.lam), c_mp(mp.mpf(s.lam))), q
 
 
-def z0_sufficient_mp(q):
-    """max(first, second) of z0_sufficient at the double q, unrounded, with
-    the decay-rate gap psi = c(q/p) - ln(1/s) as defined."""
-    with mp.workdps(LEDGER_DPS):
-        q = mp.mpf(q)
-        p = 1 - q
-        psi = c_mp(q / p) + mp.log(4 * p * q)
-        first = 2 / (mp.pi * (1 - q / p) ** 2)
-        root2 = mp.sqrt(2)
-        second = 1 / (2 * root2) - (1 + 1 / root2) / 2 * mp.log(2 * psi / mp.pi) / psi
-        return max(first, second)
-
-
 @pytest.mark.parametrize("z", [10, 10**3, 10**5])
 @pytest.mark.parametrize("q", NEAR_HALF_QS)
 def test_asymptotics_near_half(q, z):
@@ -411,14 +295,14 @@ def test_conditional_near_half(q, z, kappa):
     # 1 - lam and ln lam formed from the rounded lam = q/p lost about 1/d ulps
     # each; they put P(10^4, 0.3) at q = 0.49999 off by 1.0e-12 relative
     got = race.conditional_probability(split(q), z, kappa)
-    assert within_ulps(got, conditional_mp(q, z, kappa, LEDGER_DPS)), (q, z, kappa)
+    assert within_ulps(got, conditional_mp(q, z, kappa, dps=LEDGER_DPS)), (q, z, kappa)
 
 
 @pytest.mark.parametrize("q, kappa", [(1e-300, 1e-30), (0.1, 5e-324)])
 def test_conditional_where_kappa_z_lam_underflows(q, kappa):
     # kappa z lam underflows to 0 here, where ln P(z, 0) used to be rejected;
     # P(1, kappa) tends to lam as kappa -> 0
-    ref = conditional_mp(q, 1, kappa, LEDGER_DPS)
+    ref = conditional_mp(q, 1, kappa, dps=LEDGER_DPS)
     assert kappa * q / (1.0 - q) == 0.0
     assert within_ulps(race.conditional_probability(split(q), 1, kappa), ref)
 
@@ -427,7 +311,7 @@ def test_conditional_over_kappa_where_kappa_z_lam_underflows():
     kappas = [1e-300, 5e-324]
     got = race._conditional_over_kappa(0.1, 1, kappas)
     for value, kappa in zip(got.tolist(), kappas):
-        assert within_ulps(value, conditional_mp(0.1, 1, kappa, LEDGER_DPS)), kappa
+        assert within_ulps(value, conditional_mp(0.1, 1, kappa, dps=LEDGER_DPS)), kappa
 
 
 @pytest.mark.parametrize("q, n", [(0.49999, 10**5), (0.49999, 10**6), (0.499999, 10**6)])

@@ -25,6 +25,7 @@ from doublespend.race import (
     recover_p_by_quadrature,
 )
 
+from oracles import nakamoto_mp, success_mp
 from reference_tables import (
     MAX_SUM_Z,
     attacker_success_sum,
@@ -35,31 +36,6 @@ from reference_tables import (
 
 def split(q):
     return HashSplit.from_attacker_share(q)
-
-
-def success_mp(q, z):
-    """P(z) = I_s(z, 1/2) at s = 4pq of the double q, in 50-digit mpmath."""
-    if z == 0:
-        return 1
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(50):
-        q = mp.mpf(q)
-        return mp.betainc(z, 0.5, 0, 4 * q * (1 - q), regularized=True)
-
-
-def nakamoto_mp(q, z):
-    """P_SN(z) = P(z, z lam) + lam^z e^{z (1 - lam)} Q(z, z) in 50-digit
-    mpmath, two positive terms, so it holds below the least double, where
-    Nakamoto's Poisson sum would cancel."""
-    if z == 0:
-        return 1
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(50):
-        q = mp.mpf(q)
-        lam = q / (1 - q)
-        head = mp.gammainc(z, 0, z * lam, regularized=True)
-        upper = mp.gammainc(z, z, mp.inf, regularized=True)
-        return head + mp.exp(z * mp.log(lam) + z * (1 - lam)) * upper
 
 
 class TestHashSplit:
@@ -616,7 +592,7 @@ class TestConfirmationsRequired:
 
     def test_answer_just_below_the_guard(self):
         # the answer is below the guard although a doubling bracket passes it;
-        # the risk, 0.3961439127894836, is 4.5e-9 relative above the 50-digit
+        # the risk, 0.3961439127894836, is 4.5e-9 relative above the 40-digit
         # P(9,000,000) = 0.39614391098902734, and below P(8,999,999)
         s = split(0.4999)
         risk = attacker_success_closed(s, 9_000_000)
@@ -639,7 +615,7 @@ class TestConfirmationsRequired:
         # the scan probes the solver's log kernels, so it checks the search;
         # each answer is also the strict crossing of an independent P: exact
         # rationals for the closed form (at q = 0.05, P(1) = 2q is exactly
-        # the risk 0.1, so z = 2), 50-digit mpmath for Nakamoto's
+        # the risk 0.1, so z = 2), 40-digit mpmath for Nakamoto's
         log_prob = race._log_nakamoto if use_nakamoto else race._log_success_closed
         checked = 0
         for q in (0.001, 0.05, 0.1, 0.2, 0.3, 0.35, 0.4):
@@ -663,7 +639,7 @@ class TestConfirmationsRequired:
 
     # the corners of the benchmark's solver stream, its deep-tail probe
     # (z_SN = 61), and the least double as the risk, where btdtria puts
-    # the closed form's crossing at 697, but 50-digit mpmath gives
+    # the closed form's crossing at 697, but 40-digit mpmath gives
     # P(725) = 5.46e-324 and P(726) = 1.96e-324, so z = 726, and
     # P_SN(568) = 9.35e-324 and P_SN(569) = 2.53e-324, so z_SN = 569
     EDGES = [(0.01, 1e-2), (0.01, 1e-12), (0.45, 1e-2), (0.45, 1e-12), (0.2, 1e-17),
