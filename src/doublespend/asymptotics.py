@@ -121,7 +121,9 @@ def psn_upper_bound(split: race.HashSplit, z: int) -> float:
 def z0_sufficient(split: race.HashSplit) -> int:
     """Explicit (non-sharp) rank: for z at or above the returned value the
     exact probability strictly exceeds Nakamoto's.  It is set by the decay-rate
-    gap psi = c(q/p) - ln(1/s) > 0, taken as 2 c(1/(2p)), which does not cancel."""
+    gap psi = c(q/p) - ln(1/s) > 0, taken as 2 c(1/(2p)), which does not cancel.
+    It does not decrease in q: psi <= 2 c(1/2) < pi/2 falls as q rises, so
+    both terms of the max rise."""
     _check_args(split)
     psi = 2.0 * specfun._c(-split.d / (2.0 * split.p), -math.log(2.0 * split.p))
     first = 2.0 / (math.pi * race._one_minus_lam(split) ** 2)

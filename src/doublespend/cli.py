@@ -93,49 +93,21 @@ def _satoshi_table(z):
     ]
 
 
-def _bisect(pred, lo, hi, tol):
-    """Halve [lo, hi] until it is at most tol wide, keeping hi where pred holds;
-    returns the final cell (lo, hi)."""
-    while hi - lo > tol:
+def _z0_boundary(k):
+    """Least q where the sharp rank z0 reaches k, to _Z0_Q_TOL (0.0 if it does
+    at _Z0_Q_LO), bisected on whether rank k - 1 is bad (P_SN >= P).  For
+    k = 2..11 on [_Z0_Q_LO, _Z0_Q_HI], z0 >= k exactly where that rank is bad, and
+    it turns bad once: tests/test_z0_order.py certifies both on cells of q."""
+    lo, hi = _Z0_Q_LO, _Z0_Q_HI
+    if asymptotics._bad_rank(race.HashSplit(lo), k - 1):
+        return 0.0
+    while hi - lo > _Z0_Q_TOL:
         mid = 0.5 * (lo + hi)
-        if pred(mid):
+        if asymptotics._bad_rank(race.HashSplit(mid), k - 1):
             hi = mid
         else:
             lo = mid
-    return lo, hi
-
-
-def _z0_boundary(k, z0_at):
-    """Smallest q at which z0_at(q), the sharp rank z0, reaches k, by bisection.
-
-    The bisection needs z0 non-decreasing in q; that is unproven, but a scan
-    of 4000 q in [0.001, 0.499] found no decrease.  It is first run on a cheap
-    guide, whether rank k - 1 is bad (P_SN >= P there), and the guide's final
-    cell [a, b] is kept if z0_at(a) < k <= z0_at(b) (an end of the q range
-    counts as checked, as in the plain bisection).  The leaf cells of the
-    halving tree partition the q range, and for a non-decreasing z0 exactly
-    one of them passes that check: the one the plain bisection on z0_at ends
-    in.  Where the guide is wrong, the plain bisection runs.
-
-    Of that check only z0_at(a) < k is evaluated: for z0_at = z0_sharp and
-    k <= 202 (the table's k is 2..11), k <= z0_at(b) follows from the guide.
-    The bisection moves hi only to a q where the guide held, so rank k - 1
-    is bad at b (b = hi is never evaluated).  A bad rank lies below
-    z0_sufficient, which proves every later rank good, so z0_sharp
-    classifies it; and the window of 200 good ranks from any z in
-    [2, k - 1] covers rank k - 1, so z0_sharp(b) >= k.  z0_sharp decides
-    with the same scalar kernels as the guide, and a rank it does not
-    evaluate is classified by a certificate from a rank at or below it,
-    which agrees with the guide wherever the computed logs decrease in z,
-    as the tests check they do.  So one sharp rank checks each boundary.
-    """
-    lo, hi = _Z0_Q_LO, _Z0_Q_HI
-    if z0_at(lo) >= k:
-        return 0.0
-    a, b = _bisect(lambda q: asymptotics._bad_rank(race.HashSplit(q), k - 1), lo, hi, _Z0_Q_TOL)
-    if a == lo or z0_at(a) < k:
-        return b
-    return _bisect(lambda q: z0_at(q) >= k, lo, hi, _Z0_Q_TOL)[1]
+    return hi
 
 
 def cmd_table(args):
@@ -159,9 +131,7 @@ def cmd_table(args):
             )
         _write_rows(args.out, ["q", "z", "z_sn"], rows)
     elif which == "z0":
-        # the bisections for neighbouring k probe many of the same q
-        z0_at = functools.cache(lambda q: asymptotics.z0_sharp(race.HashSplit(q)))
-        rows = [[k, f"{_z0_boundary(k, z0_at):.3f}"] for k in range(2, 12)]
+        rows = [[k, f"{_z0_boundary(k):.3f}"] for k in range(2, 12)]
         _write_rows(args.out, ["z0", "q_min"], rows)
     else:  # custom
         qs = [round(q, 10) for q in _frange(args.q_min, args.q_max, args.q_step)]

@@ -190,7 +190,8 @@ def negbin_pmf(split: HashSplit, n: int, k: int) -> float:
 
 
 def attacker_success_closed(split: HashSplit, z: int) -> float:
-    """Exact success probability in closed form, I_s(z, 1/2) with s=4pq."""
+    """Exact success probability in closed form, I_s(z, 1/2) with s=4pq.
+    It increases in q: I_s is a distribution function in s, and s rises in q."""
     z = _check_count("z", z, 0)
     if z == 0:
         return 1.0
@@ -205,7 +206,9 @@ def _log_success_closed(split, z):
 def nakamoto_probability(split: HashSplit, z: int) -> float:
     """Nakamoto's approximation: the attacker block count over the whole
     race is taken Poisson with mean z q/p instead of negative binomial.
-    This is the conditional probability on schedule, P(z, kappa=1)."""
+    This is the conditional probability on schedule, P(z, kappa=1).
+    It increases in q: P_SN = E min(1, lam^(z - N)), N ~ Poisson(z lam), and
+    thinning couples N <= N' at lam' > lam, which raises each term."""
     z = _check_count("z", z, 0)
     if z == 0:
         return 1.0

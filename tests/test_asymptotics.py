@@ -394,15 +394,17 @@ class TestComparisonRank:
             assert z0_sharp(s) == z0_sharp_scan(s), q
 
     def test_sharp_rank_non_decreasing_in_q(self):
-        # the q-bisection of cli._z0_boundary relies on this; it is measured,
-        # not proven
+        # up to q = 0.415, where z0 reaches 11, this follows from the order
+        # that tests/test_z0_order.py certifies for the z0 table; above it
+        # the order is measured here, not proven (ROADMAP D20)
         ranks = [z0_sharp(split(float(q))) for q in np.linspace(0.001, 0.45, 200)]
         assert all(b >= a for a, b in zip(ranks, ranks[1:]))
 
     def test_bad_ranks_form_a_prefix(self):
         # then z0 >= k exactly where rank k - 1 is bad, the guide that
-        # cli._z0_boundary bisects on; measured, not proven, so z0_sharp
-        # keeps its window and the table checks each guided cell
+        # cli._z0_boundary bisects on; tests/test_z0_order.py certifies it
+        # up to q = 0.415, where z0 reaches 11, and above it it is measured,
+        # not proven, so z0_sharp keeps its window
         for q in np.linspace(0.001, 0.45, 300):
             s = split(float(q))
             w = np.arange(2, z0_sufficient(s))
@@ -500,6 +502,11 @@ class TestKappaThreshold:
             assert kappa_threshold(s, 2) == pytest.approx(
                 1.0 / (2.0 * q) - 1.0, abs=1e-10
             )
+
+    def test_gives_up_after_max_iterations(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_KAPPA_MAX_ITER", 0)
+        with pytest.raises(specfun.ConvergenceError, match="did not converge for z=10"):
+            kappa_threshold(split(0.1), 10)
 
     def test_increasing_in_z(self):
         s = split(0.1)

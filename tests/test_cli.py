@@ -249,22 +249,7 @@ class TestTable:
     def test_z0_boundary_matches_plain_bisection(self):
         z0_at = functools.cache(lambda q: asymptotics.z0_sharp(race.HashSplit(q)))
         for k in range(2, 31):
-            assert cli._z0_boundary(k, z0_at) == z0_boundary_bisect(k, z0_at), k
-
-    def test_z0_boundary_falls_back_where_the_guide_is_wrong(self):
-        # a monotone step whose boundaries are nowhere near the ranks'
-        # crossings: every guided cell fails its check
-        calls = []
-
-        def z0_at(q):
-            calls.append(q)
-            return 2 + int(37 * q)
-
-        for k in range(2, 12):
-            calls.clear()
-            assert cli._z0_boundary(k, z0_at) == z0_boundary_bisect(k, z0_at), k
-            if k > 2:
-                assert len(calls) > 10, k  # the plain bisection ran
+            assert cli._z0_boundary(k) == z0_boundary_bisect(k, z0_at), k
 
     def test_z0_table_evaluates_few_sharp_ranks(self, tmp_path, monkeypatch):
         real = asymptotics.z0_sharp
@@ -274,9 +259,9 @@ class TestTable:
         )
         out = tmp_path / "z0.csv"
         assert main(["table", "--which", "z0", "--out", str(out)]) == 0
-        # one bisection per boundary on z0_sharp took 87; the guided one
-        # checks each boundary with one sharp rank, 10 in all
-        assert len(calls) <= 11
+        # the bisection runs on the bad-rank guide alone, whose order
+        # tests/test_z0_order.py certifies
+        assert calls == []
 
     def test_custom_table(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -344,7 +329,7 @@ class TestTable:
 
     @pytest.mark.parametrize(
         "which, module, solver",
-        [("z0", asymptotics, "z0_sharp"), ("confirmations", race, "confirmations_required")],
+        [("z0", asymptotics, "_bad_rank"), ("confirmations", race, "confirmations_required")],
     )
     def test_solver_failure_leaves_out_untouched(
         self, tmp_path, capsys, monkeypatch, which, module, solver

@@ -2,6 +2,7 @@
 determinism, and exact kappa conditioning."""
 
 import math
+import os
 import threading
 import tracemalloc
 
@@ -318,6 +319,12 @@ def force_workers(monkeypatch, cpus):
     monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
     return pools
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    # hosts without sched_getaffinity count every CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sim._usable_cpus() == (os.cpu_count() or 1)
 
 
 class TestThreadedBatches:

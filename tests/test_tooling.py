@@ -170,11 +170,11 @@ def test_readme_quadrature_sizes_are_the_code_ones():
 
 
 def test_readme_z0_table_sharp_ranks_are_the_code_ones(monkeypatch, tmp_path):
-    real = asymptotics.z0_sharp
+    real = asymptotics._bad_rank
     calls = []
-    monkeypatch.setattr(asymptotics, "z0_sharp", lambda split: calls.append(split.q) or real(split))
+    monkeypatch.setattr(asymptotics, "_bad_rank", lambda split, w: calls.append(w) or real(split, w))
     assert cli.main(["table", "--which", "z0", "--out", str(tmp_path / "z0.csv")]) == 0
-    assert re.findall(r"(\d+) sharp ranks instead of", readme_text()) == [str(len(calls))]
+    assert re.findall(r"(\d+) rank tests and no sharp rank", readme_text()) == [str(len(calls))]
 
 
 def test_readme_z0_figures_are_the_code_ones():
